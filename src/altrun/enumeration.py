@@ -37,7 +37,13 @@ def enumeration_budget() -> int:
     raw = os.environ.get("ALTRUN_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
-    return int(raw)
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0  # reported below, like any other non-positive value
+    if budget < 1:
+        raise ValueError(f"ALTRUN_BUDGET must be a positive integer, got {raw!r}")
+    return budget
 
 
 def _derangement_count(n: int) -> int:

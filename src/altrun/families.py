@@ -17,6 +17,11 @@ Polynomial sequences: bpoly, cpoly, dpoly, gammapoly, Fpoly, eulerA, eulerB.
 All values are exact; rows are produced by the defining recurrences, so the
 triangles double as the recurrence oracle for the grammar and enumeration
 routes.
+
+Each family keeps one growable list of the rows (or polynomials) computed so
+far.  A call extends that list from its last entry up to the requested index
+and returns a `Triangle` / `PolySeq` over the leading slice, so asking for
+rows 1..n after rows 1..n-1 costs one new row, not n.
 """
 
 from __future__ import annotations
@@ -25,13 +30,13 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from math import comb
 from typing import Callable
 
 from .errors import UnknownFamily
 from .multipoly import MultiPoly
-from .polys import Poly, Scalar, as_fraction
+from .polys import Poly, Scalar, exact
 
 Entry = int | Poly
 
@@ -168,38 +173,56 @@ def _prev_entry(prev: tuple[Entry, ...], k: int) -> Entry:
     return 0
 
 
-@lru_cache(maxsize=None)
+def _extended(items: list, min_n: int, max_n: int, step: Callable[[int, list], object]) -> tuple:
+    """Grow `items`, the entries at min_n, min_n + 1, ..., through max_n.
+
+    `step(n, items)` computes entry n from the entries before it.  Returns
+    the entries min_n..max_n.
+    """
+    for n in range(min_n + len(items), max_n + 1):
+        items.append(step(n, items))
+    return tuple(items[: max_n - min_n + 1])
+
+
+# rows[i] of family `name` is row min_n + i; extended on demand by `triangle`
+_TRIANGLE_ROWS: dict[str, list[tuple[Entry, ...]]] = {}
+
+
+def _next_row(spec: _TriangleSpec, n: int, rows: list) -> tuple[Entry, ...]:
+    """Row n of the triangle from the rows before it, by the recurrence."""
+    prev = rows[-1]
+    row = []
+    for k in range(spec.k_max(n) + 1):
+        value = (
+            spec.coeff_a(n, k) * _prev_entry(prev, k)
+            + spec.coeff_b(n, k) * _prev_entry(prev, k - 1)
+            + spec.coeff_c(n, k) * _prev_entry(prev, k - 2)
+        )
+        row.append(value)
+    return tuple(row)
+
+
 def triangle(name: str, max_n: int) -> Triangle:
-    """Compute rows min_n..max_n of the named triangle."""
+    """Rows min_n..max_n of the named triangle, extending the row store."""
     if name not in _TRIANGLES:
         raise UnknownFamily(f"unknown triangle family {name!r}")
     spec = _TRIANGLES[name]
     if max_n < spec.min_n:
         raise ValueError(f"family {name!r} starts at row {spec.min_n}")
-    rows = [spec.first_row]
-    for n in range(spec.min_n + 1, max_n + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(spec.k_max(n) + 1):
-            value = (
-                spec.coeff_a(n, k) * _prev_entry(prev, k)
-                + spec.coeff_b(n, k) * _prev_entry(prev, k - 1)
-                + spec.coeff_c(n, k) * _prev_entry(prev, k - 2)
-            )
-            row.append(value)
-        rows.append(tuple(row))
-    return Triangle(name, spec.min_n, tuple(rows))
+    rows = _TRIANGLE_ROWS.setdefault(name, [spec.first_row])
+    step = partial(_next_row, spec)
+    return Triangle(name, spec.min_n, _extended(rows, spec.min_n, max_n, step))
 
 
 def q_specialize(row: tuple[Entry, ...], q0: Scalar) -> Poly:
     """Substitute q=q0 in an Rq row and assemble sum_k entry * x^k."""
-    q0 = as_fraction(q0)
+    q0 = exact(q0)
     coeffs = []
     for entry in row:
         if isinstance(entry, Poly):
             coeffs.append(entry.evaluate(q0))
         else:
-            coeffs.append(as_fraction(entry))
+            coeffs.append(entry)
     return Poly(coeffs)
 
 
@@ -224,53 +247,38 @@ class PolySeq:
         return self.polys[n - self.min_n]
 
 
-def _seq_bpoly(max_n: int) -> tuple[int, list[Poly]]:
-    polys = [Poly.one(), _ONE_X]
-    for n in range(1, max_n):
-        b = polys[-1]
-        nxt = Poly([1, 1, 2 * n]) * b + 2 * Poly([0, 1, 0, -1]) * b.derivative()
-        polys.append(nxt)
-    return 0, polys[: max_n + 1]
+# Each step computes the polynomial at index n from the list `prev` of those
+# at indices min_n..n-1.  The recurrences are written, as in the paper, for
+# index m + 1 in terms of index m = n - 1.
 
 
-def _seq_cpoly(max_n: int) -> tuple[int, list[Poly]]:
-    polys = [Poly.x()]
-    for n in range(1, max_n):
-        c = polys[-1]
-        nxt = Poly([-1, 3, 2 * n]) * c + 2 * Poly([0, 1, 0, -1]) * c.derivative()
-        polys.append(nxt)
-    return 1, polys
+def _step_bpoly(n: int, prev: list[Poly]) -> Poly:
+    b, m = prev[-1], n - 1
+    return Poly([1, 1, 2 * m]) * b + 2 * Poly([0, 1, 0, -1]) * b.derivative()
 
 
-def _seq_dpoly(max_n: int) -> tuple[int, list[Poly]]:
-    polys = [Poly.one(), Poly.zero()]
-    for n in range(1, max_n):
-        d, dprev = polys[-1], polys[-2]
-        nxt = (
-            n * Poly([0, 0, 1]) * d
-            + Poly([0, 1, 0, -1]) * d.derivative()
-            + n * Poly.x() * dprev
-        )
-        polys.append(nxt)
-    return 0, polys[: max_n + 1]
+def _step_cpoly(n: int, prev: list[Poly]) -> Poly:
+    c, m = prev[-1], n - 1
+    return Poly([-1, 3, 2 * m]) * c + 2 * Poly([0, 1, 0, -1]) * c.derivative()
 
 
-def _seq_gammapoly(max_n: int) -> tuple[int, list[Poly]]:
-    polys = [Poly.one()]
-    for n in range(0, max_n):
-        g = polys[-1]
-        nxt = (2 * n + 1) * Poly.x() * g + Poly([0, 1, -4]) * g.derivative()
-        polys.append(nxt)
-    return 0, polys
+def _step_dpoly(n: int, prev: list[Poly]) -> Poly:
+    d, dprev, m = prev[-1], prev[-2], n - 1
+    return (
+        m * Poly([0, 0, 1]) * d
+        + Poly([0, 1, 0, -1]) * d.derivative()
+        + m * Poly.x() * dprev
+    )
 
 
-def _seq_Fpoly(max_n: int) -> tuple[int, list[Poly]]:
-    polys = [Poly.one()]
-    for n in range(0, max_n):
-        F = polys[-1]
-        nxt = Poly([0, 1, 2 * n]) * F + Poly([0, 1, 0, -1]) * F.derivative()
-        polys.append(nxt)
-    return 0, polys
+def _step_gammapoly(n: int, prev: list[Poly]) -> Poly:
+    g, m = prev[-1], n - 1
+    return (2 * m + 1) * Poly.x() * g + Poly([0, 1, -4]) * g.derivative()
+
+
+def _step_Fpoly(n: int, prev: list[Poly]) -> Poly:
+    F, m = prev[-1], n - 1
+    return Poly([0, 1, 2 * m]) * F + Poly([0, 1, 0, -1]) * F.derivative()
 
 
 def eulerian(n: int, kind: str) -> Poly:
@@ -300,36 +308,38 @@ def eulerian(n: int, kind: str) -> Poly:
     raise UnknownFamily(f"eulerian kind must be 'A' or 'B', got {kind!r}")
 
 
-def _seq_eulerA(max_n: int) -> tuple[int, list[Poly]]:
-    return 1, [eulerian(n, "A") for n in range(1, max_n + 1)]
+@dataclass(frozen=True)
+class _SeqSpec:
+    min_n: int
+    initial: tuple[Poly, ...]  # the polynomials at indices min_n, min_n + 1, ...
+    step: Callable[[int, list[Poly]], Poly]
 
 
-def _seq_eulerB(max_n: int) -> tuple[int, list[Poly]]:
-    return 1, [eulerian(n, "B") for n in range(1, max_n + 1)]
-
-
-_POLYSEQS = {
-    "bpoly": _seq_bpoly,
-    "cpoly": _seq_cpoly,
-    "dpoly": _seq_dpoly,
-    "gammapoly": _seq_gammapoly,
-    "Fpoly": _seq_Fpoly,
-    "eulerA": _seq_eulerA,
-    "eulerB": _seq_eulerB,
+_POLYSEQS: dict[str, _SeqSpec] = {
+    "bpoly": _SeqSpec(0, (Poly.one(), _ONE_X), _step_bpoly),
+    "cpoly": _SeqSpec(1, (Poly.x(),), _step_cpoly),
+    "dpoly": _SeqSpec(0, (Poly.one(), Poly.zero()), _step_dpoly),
+    "gammapoly": _SeqSpec(0, (Poly.one(),), _step_gammapoly),
+    "Fpoly": _SeqSpec(0, (Poly.one(),), _step_Fpoly),
+    "eulerA": _SeqSpec(1, (), lambda n, prev: eulerian(n, "A")),
+    "eulerB": _SeqSpec(1, (), lambda n, prev: eulerian(n, "B")),
 }
 
 POLY_FAMILIES = tuple(_POLYSEQS)
 
+# polys[i] of family `name` has index min_n + i; extended on demand by `polyseq`
+_POLYSEQ_POLYS: dict[str, list[Poly]] = {}
 
-@lru_cache(maxsize=None)
+
 def polyseq(name: str, max_n: int) -> PolySeq:
-    """Compute the named polynomial sequence through index max_n."""
+    """The named polynomial sequence through index max_n, extending the store."""
     if name not in _POLYSEQS:
         raise UnknownFamily(f"unknown polynomial family {name!r}")
-    min_n, polys = _POLYSEQS[name](max_n)
-    if max_n < min_n:
-        raise ValueError(f"family {name!r} starts at index {min_n}")
-    return PolySeq(name, min_n, tuple(polys))
+    spec = _POLYSEQS[name]
+    if max_n < spec.min_n:
+        raise ValueError(f"family {name!r} starts at index {spec.min_n}")
+    polys = _POLYSEQ_POLYS.setdefault(name, list(spec.initial))
+    return PolySeq(name, spec.min_n, _extended(polys, spec.min_n, max_n, spec.step))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +349,7 @@ def polyseq(name: str, max_n: int) -> PolySeq:
 
 def inclusion_exclusion_Rxy(n: int, q0: Scalar) -> MultiPoly:
     """sum_i C(n,i) (q x y - q x)^i R_{n-i}(x; q0), a polynomial in (x, y)."""
-    q0 = as_fraction(q0)
+    q0 = exact(q0)
     alphabet = ("x", "y")
     tri = triangle("Rq", n)
     total = MultiPoly.zero(alphabet)

@@ -21,7 +21,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import DegenerateSample, NotSymmetric
-from .polys import Poly, Scalar, as_fraction, divide_exact, is_symmetric
+from .polys import Poly, Scalar, as_fraction, divide_exact, exact, is_symmetric
 
 _ONE_X = Poly([1, 1])
 _ONE_X2 = Poly([1, 0, 1])
@@ -32,7 +32,7 @@ class GammaForm:
     """gamma coefficients of a palindromic polynomial of span base_degree."""
 
     base_degree: int
-    gammas: tuple[Fraction, ...]
+    gammas: tuple[Scalar, ...]
 
     def reassemble(self) -> Poly:
         total = Poly.zero()
@@ -59,7 +59,7 @@ class SemiGammaForm:
 
     nu: int
     half_degree: int
-    lambdas: tuple[Fraction, ...]
+    lambdas: tuple[Scalar, ...]
 
     def reassemble(self) -> Poly:
         total = Poly.zero()
@@ -94,7 +94,7 @@ def gamma_expand(p: Poly, low: int, high: int) -> GammaForm:
     """Unique gamma expansion of a polynomial symmetric on [low, high].
 
     >>> gamma_expand(Poly([0, 1, 4, 1]), 1, 3).gammas
-    (Fraction(1, 1), Fraction(2, 1))
+    (1, 2)
     """
     core = _peel(p, low, high)
     d = high - low
@@ -141,10 +141,10 @@ def gamma_to_lambda(form: GammaForm) -> SemiGammaForm:
     nu = form.base_degree % 2
     lambdas = []
     for k in range(m + 1):
-        total = Fraction(0)
+        total = 0
         for i, g in enumerate(form.gammas[: k + 1]):
-            total += comb(m - i, k - i) * Fraction(2) ** (k - i) * g
-        lambdas.append(total)
+            total += comb(m - i, k - i) * 2 ** (k - i) * g
+        lambdas.append(exact(total))
     return SemiGammaForm(nu, m, tuple(lambdas))
 
 
@@ -190,6 +190,30 @@ def default_samples(count: int) -> list[Fraction]:
     return [Fraction(1, j + 2) for j in range(count)]
 
 
+def certificate_sample_count(n_degree: int, n: int, delta: int) -> int:
+    """Number of distinct samples that turns the surd check into a proof.
+
+    With x = (1-t^2)/(1+t^2) and w = t, write D = max(deg N, n - delta, 0).
+    Clearing the (1+t^2) powers turns both sides of the identity into
+    polynomials in t:
+
+        L(t) = (1+t^2)^D N(x)                                  deg <= 2D
+        R(t) = (1+t^2)^(D-n+delta) (1+t)^(n+delta) M((1-t)/(1+t))
+                                                   deg <= 2D - n + 3*delta
+
+    the second bound holding when deg M <= n + delta.  L - R therefore has
+    degree at most B = max(2D, 2D - n + 3*delta), and agreement at B + 1
+    distinct values of t proves L = R, hence the identity.
+
+    >>> certificate_sample_count(3, 4, 1)
+    7
+    """
+    if not 0 <= delta <= n:
+        raise ValueError(f"need 0 <= delta <= n, got n={n}, delta={delta}")
+    d = max(n_degree, n - delta, 0)
+    return max(2 * d, 2 * d - n + 3 * delta) + 1
+
+
 def david_barton_identity_check(
     m_poly: Poly,
     n_poly: Poly,
@@ -200,12 +224,18 @@ def david_barton_identity_check(
     """Certify N_n(x) = ((1+x)/2)^(n-delta) (1+w)^(n+delta) M_n((1-w)/(1+w)).
 
     Each sample t in (0, 1) is made exact through x = (1-t^2)/(1+t^2), which
-    forces w = t.  Agreement at more than deg N_n points upgrades the sample
-    check to a polynomial identity certificate.
+    forces w = t.  A True result is a proof: it needs at least
+    `certificate_sample_count(deg N, n, delta)` distinct samples (the degree
+    bound is written there), and with fewer the pair is rejected (False).
+    An M of degree above n + delta is rejected too: the right-hand side
+    then has a pole at t = -1 that the left-hand side lacks, so the
+    identity cannot hold.
     """
     if not t_samples:
         raise ValueError("need at least one sample")
-    if len(t_samples) <= n_poly.degree:
+    if len(t_samples) < certificate_sample_count(n_poly.degree, n, delta):
+        return False
+    if m_poly.degree > n + delta:
         return False
     seen = set()
     for t in t_samples:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotOfExpectedShape, UnknownSymbol
 from .multipoly import MultiPoly
-from .polys import Poly
+from .polys import Poly, Scalar, exact_div
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^();]))")
 
@@ -188,7 +188,7 @@ class Grammar:
             if extra:
                 raise UnknownSymbol(f"letters {sorted(extra)} not in grammar")
             p = p.extended(self.alphabet)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for exps, coeff in p.terms.items():
             for slot, e in enumerate(exps):
                 if e == 0:
@@ -198,8 +198,8 @@ class Grammar:
                     continue
                 lowered = exps[:slot] + (e - 1,) + exps[slot + 1 :]
                 for img_exps, img_coeff in image.terms.items():
-                    key = tuple(a + b for a, b in zip(lowered, img_exps))
-                    out[key] = out.get(key, Fraction(0)) + coeff * e * img_coeff
+                    key = tuple(map(add, lowered, img_exps))
+                    out[key] = out.get(key, 0) + coeff * e * img_coeff
         return MultiPoly(self.alphabet, out)
 
     def iterate(self, seed: MultiPoly, n: int) -> MultiPoly:
@@ -269,13 +269,13 @@ def extract_row(
                 )
         key = tuple(reduced[i] for i in residual_slots)
         entries[k] = entries[k] + MultiPoly(
-            residual_alphabet, {key: coeff / seed_coeff}
+            residual_alphabet, {key: exact_div(coeff, seed_coeff)}
         )
     return entries
 
 
-def entries_as_fractions(entries: Sequence[MultiPoly]) -> list[Fraction]:
-    """Collapse constant entries to plain rationals."""
+def entries_as_fractions(entries: Sequence[MultiPoly]) -> list[Scalar]:
+    """Collapse constant entries to plain rationals (`int` when integral)."""
     out = []
     for e in entries:
         if e.letters_used():

@@ -2,16 +2,21 @@
 
 Used for grammar images (letters a, b, c, q, ...) and joint statistic
 distributions (variables x, q, y).  Terms map exponent tuples, one slot per
-alphabet letter, to nonzero Fractions.
+alphabet letter, to nonzero exact rationals.
+
+Coefficients follow the integer-first policy of `altrun.polys`: each one is
+normalised by `polys.exact`, so it is an `int` whenever its denominator is
+1 and a `Fraction` otherwise.  `evaluate` always returns a `Fraction`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import UnknownSymbol
-from .polys import Poly, Scalar, as_fraction
+from .polys import Poly, Scalar, exact
 
 
 class MultiPoly:
@@ -25,14 +30,14 @@ class MultiPoly:
         alphabet = tuple(alphabet)
         if len(set(alphabet)) != len(alphabet):
             raise ValueError("alphabet letters must be distinct")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         for exps, c in (terms or {}).items():
             exps = tuple(exps)
             if len(exps) != len(alphabet):
                 raise ValueError("exponent tuple length must match alphabet size")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            c = as_fraction(c)
+            c = exact(c)
             if c != 0:
                 clean[exps] = c
         object.__setattr__(self, "alphabet", alphabet)
@@ -82,10 +87,10 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: tuple[int, ...]) -> Scalar:
+        return self.terms.get(tuple(exps), 0)
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Scalar:
         return self.coefficient((0,) * len(self.alphabet))
 
     def total_degree(self) -> int:
@@ -107,7 +112,7 @@ class MultiPoly:
                     used.add(letter)
         return used
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
     def _slot(self, name: str) -> int:
@@ -131,7 +136,7 @@ class MultiPoly:
         self._check_alphabet(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
+            out[exps] = out.get(exps, 0) + c
         return MultiPoly(self.alphabet, out)
 
     __radd__ = __add__
@@ -156,11 +161,11 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_alphabet(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
         return MultiPoly(self.alphabet, out)
 
     __rmul__ = __mul__
@@ -190,13 +195,13 @@ class MultiPoly:
     def derivative(self, name: str) -> MultiPoly:
         """Formal partial derivative with respect to one letter."""
         slot = self._slot(name)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for exps, c in self.terms.items():
             e = exps[slot]
             if e == 0:
                 continue
             key = exps[:slot] + (e - 1,) + exps[slot + 1 :]
-            out[key] = out.get(key, Fraction(0)) + c * e
+            out[key] = out.get(key, 0) + c * e
         return MultiPoly(self.alphabet, out)
 
     def substitute(
@@ -235,14 +240,14 @@ class MultiPoly:
         missing = self.letters_used() - set(values)
         if missing:
             raise UnknownSymbol(f"no value for {sorted(missing)}")
-        total = Fraction(0)
+        total = 0
         for exps, c in self.terms.items():
             prod = c
             for letter, e in zip(self.alphabet, exps):
                 if e:
-                    prod *= as_fraction(values[letter]) ** e
+                    prod *= exact(values[letter]) ** e
             total += prod
-        return total
+        return Fraction(total)
 
     def as_poly(self, name: str) -> Poly:
         """Convert to a dense univariate polynomial in one letter."""

@@ -1,9 +1,22 @@
 """Dense univariate polynomials over the rationals.
 
-Coefficients are `fractions.Fraction` values stored densely by degree, with
-trailing zeros trimmed so that equality is structural equality.  The zero
-polynomial is the empty coefficient tuple.  The indeterminate is anonymous;
-`to_str` takes the display name (``x`` by default, ``q`` for q-triangles).
+Coefficients are stored densely by degree, with trailing zeros trimmed so
+that equality is structural equality.  The zero polynomial is the empty
+coefficient tuple.
+
+Coefficient policy (integer first): a coefficient is a Python `int` whenever
+its denominator is 1 and a `fractions.Fraction` only after a true division
+left a proper fraction.  `exact` is the one normaliser; every constructor
+runs it, so `Fraction(4, 2)` is stored as `4` and mixed results such as
+`Fraction(1, 2) * 2` fold back to `int`.  Because `int` and `Fraction` agree
+on `==`, `hash` and `str` for integral values, equality, hashing and printed
+forms do not depend on which of the two a coefficient happens to be.  True
+division (`Poly / scalar`, the `divmod` quotient, the monic step of
+`poly_gcd`) lifts to `Fraction` first, so no path yields a float.
+`evaluate` always returns a `Fraction`.
+
+The indeterminate is anonymous; `to_str` takes the display name (``x`` by
+default, ``q`` for q-triangles).
 
 >>> p = Poly([0, 2, 12, 10])
 >>> str(p)
@@ -22,6 +35,28 @@ from typing import Iterable, Mapping
 from .errors import NotDivisible, SupportOutOfRange, ZeroPolynomial
 
 Scalar = int | Fraction
+
+
+def exact(value: Scalar) -> Scalar:
+    """Normalise an exact rational: `int` when integral, else `Fraction`.
+
+    >>> exact(Fraction(4, 2)), exact(Fraction(1, 2))
+    (2, Fraction(1, 2))
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return int(value)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def exact_div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b, normalised by `exact`; never a float."""
+    if b == 1:
+        return exact(a)
+    return exact(as_fraction(a) / b)
 
 
 def as_fraction(value: Scalar) -> Fraction:
@@ -48,7 +83,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [as_fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else exact(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -84,11 +119,11 @@ class Poly:
         if not terms:
             return cls()
         top = max(terms)
-        coeffs = [Fraction(0)] * (top + 1)
+        coeffs = [0] * (top + 1)
         for deg, c in terms.items():
             if deg < 0:
                 raise ValueError("negative degree")
-            coeffs[deg] += as_fraction(c)
+            coeffs[deg] += exact(c)
         return cls(coeffs)
 
     # -- basic queries -----------------------------------------------------
@@ -104,12 +139,12 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> Scalar:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> Scalar:
         if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
@@ -120,10 +155,13 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            [self.coefficient(i) + other.coefficient(i) for i in range(n)]
-        )
+        longer, shorter = self.coeffs, other.coeffs
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        out = list(longer)
+        for i, c in enumerate(shorter):
+            out[i] += c
+        return Poly(out)
 
     __radd__ = __add__
 
@@ -146,12 +184,12 @@ class Poly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        bs = other.coeffs
+        out = [0] * (len(self.coeffs) + len(bs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in enumerate(bs, i):
+                    out[j] += a * b
         return Poly(out)
 
     __rmul__ = __mul__
@@ -159,6 +197,9 @@ class Poly:
     def __truediv__(self, scalar) -> Poly:
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
+        if scalar == 1:
+            return self
+        scalar = as_fraction(scalar)
         return Poly([c / scalar for c in self.coeffs])
 
     def __pow__(self, exponent: int) -> Poly:
@@ -181,12 +222,12 @@ class Poly:
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, point: Scalar) -> Fraction:
-        """Evaluate at a rational point (Horner)."""
-        point = as_fraction(point)
-        acc = Fraction(0)
+        """Evaluate at a rational point (Horner); the value is a Fraction."""
+        point = exact(point)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * point + c
-        return acc
+        return Fraction(acc)
 
     def compose(self, inner: Poly) -> Poly:
         """Substitute another polynomial for the indeterminate."""
@@ -201,13 +242,13 @@ class Poly:
             raise ValueError("shift must be nonnegative")
         if self.is_zero():
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return Poly((0,) * k + self.coeffs)
 
     def scale_x(self, factor: Scalar) -> Poly:
         """Substitute factor*x for x."""
-        factor = as_fraction(factor)
+        factor = exact(factor)
         out = []
-        power = Fraction(1)
+        power = 1
         for c in self.coeffs:
             out.append(c * power)
             power *= factor
@@ -220,21 +261,20 @@ class Poly:
             divisor = _coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quot: dict[int, Fraction] = {}
+        dcs = divisor.coeffs
+        dlc, ddeg = dcs[-1], len(dcs) - 1
         rem = list(self.coeffs)
-        dlc = divisor.leading_coefficient()
-        ddeg = divisor.degree
-        while len(rem) - 1 >= ddeg and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < ddeg:
-                break
-            k = len(rem) - 1 - ddeg
-            factor = rem[-1] / dlc
-            quot[k] = quot.get(k, Fraction(0)) + factor
-            for i, dc in enumerate(divisor.coeffs):
-                rem[k + i] -= factor * dc
-        return Poly.from_terms(quot), Poly(rem)
+        quot = [0] * max(len(rem) - ddeg, 0)
+        while len(rem) > ddeg:
+            lead = rem.pop()  # cancelled exactly by factor * dlc below
+            if lead == 0:
+                continue
+            k = len(rem) - ddeg
+            factor = exact_div(lead, dlc)
+            quot[k] = factor
+            for i, dc in enumerate(dcs[:-1], k):
+                rem[i] -= factor * dc
+        return Poly(quot), Poly(rem)
 
     # -- comparison / hashing / display -------------------------------------
 
@@ -297,8 +337,13 @@ def divide_exact(p: Poly, d: Poly) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor via the Euclidean algorithm."""
+    """Monic greatest common divisor via the Euclidean algorithm.
+
+    Each divisor is made monic first, so the division steps need no
+    rational quotients.
+    """
     while not b.is_zero():
+        b = b / b.leading_coefficient()
         a, b = b, divmod(a, b)[1]
     if a.is_zero():
         return a
@@ -309,7 +354,7 @@ def root_multiplicity(p: Poly, root: Scalar) -> int:
     """Largest m such that (x - root)^m divides p."""
     if p.is_zero():
         raise ZeroPolynomial("every multiplicity is infinite for the zero polynomial")
-    linear = Poly([-as_fraction(root), 1])
+    linear = Poly([-exact(root), 1])
     m = 0
     while True:
         quot, rem = divmod(p, linear)

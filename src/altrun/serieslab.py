@@ -69,7 +69,7 @@ class PolyDomain:
     def invert(self, c: Poly):
         if c.degree != 0:
             raise NonInvertibleConstantTerm(f"{c} is not a unit in Q[{self.var}]")
-        return Poly.constant(1 / c.coeffs[0])
+        return Poly.constant(1 / as_fraction(c.coeffs[0]))
 
     def to_str(self, c: Poly) -> str:
         return c.to_str(self.var)
@@ -95,30 +95,9 @@ class MultiPolyDomain:
         v = c.constant_term()
         if v == 0:
             raise NonInvertibleConstantTerm("zero constant term")
-        return MultiPoly.constant(self.alphabet, 1 / v)
+        return MultiPoly.constant(self.alphabet, 1 / as_fraction(v))
 
     def to_str(self, c: MultiPoly) -> str:
-        return str(c)
-
-
-class RatFuncDomain:
-    name = "Q(x)"
-
-    def zero(self):
-        return RatFunc(0)
-
-    def one(self):
-        return RatFunc(1)
-
-    def from_fraction(self, q: Fraction):
-        return RatFunc(q)
-
-    def invert(self, c: RatFunc):
-        if c.is_zero():
-            raise NonInvertibleConstantTerm("zero constant term")
-        return 1 / c
-
-    def to_str(self, c: RatFunc) -> str:
         return str(c)
 
 
@@ -172,7 +151,7 @@ class Series:
 
     def egf_coefficient(self, n: int):
         """n! times the z^n coefficient."""
-        return self.coefficient(n) * Fraction(factorial(n))
+        return self.coefficient(n) * factorial(n)
 
     def _coerce_scalar(self, value):
         if isinstance(value, (int, Fraction)):
@@ -254,7 +233,7 @@ class Series:
         for n in range(1, self.order + 1):
             acc = self.domain.zero()
             for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k] * Fraction(k)
+                acc = acc + self.coeffs[k] * out[n - k] * k
             out.append(acc * Fraction(1, n))
         return Series(self.domain, tuple(out), self.order)
 

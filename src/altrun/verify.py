@@ -71,8 +71,14 @@ def _cap(stated: int, max_n: int | None) -> int:
     return stated if max_n is None else min(stated, max_n)
 
 
-def _range_detail(lo: int, hi: int, what: str) -> str:
-    return f"{what} for n={lo}..{hi}"
+def _passed(lo: int, hi: int, what: str) -> tuple[bool, str]:
+    """The result of a check whose loop over n=lo..hi found no mismatch.
+
+    An empty range compared nothing, so it fails instead of passing.
+    """
+    if hi < lo:
+        return False, f"empty range n={lo}..{hi}, nothing checked: {what}"
+    return True, f"{what} for n={lo}..{hi}"
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +93,7 @@ def check_altrun_vs_R(max_n: int | None = None) -> tuple[bool, str]:
         dist = enumeration.distribution("perm", n, [("altrun", "x")]).as_poly("x")
         if dist != tri.row_poly(n):
             return False, f"mismatch at n={n}: {dist} vs {tri.row_poly(n)}"
-    return True, _range_detail(1, hi, "altrun distribution equals R row")
+    return _passed(1, hi, "altrun distribution equals R row")
 
 
 def check_udrun_vs_T(max_n: int | None = None) -> tuple[bool, str]:
@@ -97,7 +103,7 @@ def check_udrun_vs_T(max_n: int | None = None) -> tuple[bool, str]:
         dist = enumeration.distribution("perm", n, [("udrun", "x")]).as_poly("x")
         if dist != tri.row_poly(n):
             return False, f"mismatch at n={n}"
-    return True, _range_detail(1, hi, "udrun distribution equals T row")
+    return _passed(1, hi, "udrun distribution equals T row")
 
 
 def check_crun_cyc_vs_Rq(max_n: int | None = None) -> tuple[bool, str]:
@@ -107,7 +113,7 @@ def check_crun_cyc_vs_Rq(max_n: int | None = None) -> tuple[bool, str]:
         dist = enumeration.distribution("perm", n, [("crun", "x"), ("cyc", "q")])
         if dist != tri.row_multipoly(n, "x", "q"):
             return False, f"mismatch at n={n}"
-    return True, _range_detail(1, hi, "(crun, cyc) distribution equals Rq row")
+    return _passed(1, hi, "(crun, cyc) distribution equals Rq row")
 
 
 def check_derangement_crun_vs_d(max_n: int | None = None) -> tuple[bool, str]:
@@ -117,7 +123,7 @@ def check_derangement_crun_vs_d(max_n: int | None = None) -> tuple[bool, str]:
         dist = enumeration.distribution("derangement", n, [("crun", "x")]).as_poly("x")
         if dist != seq.poly(n):
             return False, f"mismatch at n={n}"
-    return True, _range_detail(1, hi, "derangement crun equals d_n")
+    return _passed(1, hi, "derangement crun equals d_n")
 
 
 def check_stirling_fap_vs_F(max_n: int | None = None) -> tuple[bool, str]:
@@ -127,7 +133,7 @@ def check_stirling_fap_vs_F(max_n: int | None = None) -> tuple[bool, str]:
         dist = enumeration.distribution("stirling", n, [("fap", "x")]).as_poly("x")
         if dist != tri.row_poly(n):
             return False, f"mismatch at n={n}"
-    return True, _range_detail(1, hi, "Stirling fap distribution equals F row")
+    return _passed(1, hi, "Stirling fap distribution equals F row")
 
 
 def check_dual_stirling_altrun_vs_F(max_n: int | None = None) -> tuple[bool, str]:
@@ -139,7 +145,7 @@ def check_dual_stirling_altrun_vs_F(max_n: int | None = None) -> tuple[bool, str
         ).as_poly("x")
         if dist != tri.row_poly(n):
             return False, f"mismatch at n={n}"
-    return True, _range_detail(1, hi, "dual-Stirling altrun equals F row")
+    return _passed(1, hi, "dual-Stirling altrun equals F row")
 
 
 def check_signed_desB_vs_B(max_n: int | None = None) -> tuple[bool, str]:
@@ -148,7 +154,7 @@ def check_signed_desB_vs_B(max_n: int | None = None) -> tuple[bool, str]:
         dist = enumeration.distribution("signed", n, [("des_B", "x")]).as_poly("x")
         if dist != families.eulerian(n, "B"):
             return False, f"mismatch at n={n}"
-    return True, _range_detail(1, hi, "signed des_B equals B_n")
+    return _passed(1, hi, "signed des_B equals B_n")
 
 
 def check_signed_hat_altrunB_vs_c(max_n: int | None = None) -> tuple[bool, str]:
@@ -160,7 +166,7 @@ def check_signed_hat_altrunB_vs_c(max_n: int | None = None) -> tuple[bool, str]:
         ).as_poly("x")
         if dist != seq.poly(n):
             return False, f"mismatch at n={n}"
-    return True, _range_detail(1, hi, "signed-hat altrun equals c_n")
+    return _passed(1, hi, "signed-hat altrun equals c_n")
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +194,7 @@ def check_updown_grammar(max_n: int | None = None) -> tuple[bool, str]:
             return False, f"D^{n}(a^2) does not match R row {n + 1}"
         image_a = g.derive(image_a)
         image_a2 = g.derive(image_a2)
-    return True, _range_detail(0, hi, "seed a gives T rows and seed a^2 gives R rows")
+    return _passed(0, hi, "seed a gives T rows and seed a^2 gives R rows")
 
 
 def check_doubled_grammar(max_n: int | None = None) -> tuple[bool, str]:
@@ -203,7 +209,7 @@ def check_doubled_grammar(max_n: int | None = None) -> tuple[bool, str]:
         if list(row) != [Fraction(r_tri.entry(n + 1, k)) for k in range(n + 1)]:
             return False, f"D^{n}(a) does not match R row {n + 1}"
         image = g.derive(image)
-    return True, _range_detail(0, hi, "doubled grammar matches R rows")
+    return _passed(0, hi, "doubled grammar matches R rows")
 
 
 def check_qrun_triangle(max_n: int | None = None) -> tuple[bool, str]:
@@ -220,7 +226,7 @@ def check_qrun_triangle(max_n: int | None = None) -> tuple[bool, str]:
         if row != expected:
             return False, f"D^{n}(a) does not match Rq row {n}"
         image = g.derive(image)
-    return True, _range_detail(0, hi, "q-run images match the q-triangle")
+    return _passed(0, hi, "q-run images match the q-triangle")
 
 
 def check_qrun_recurrence(max_n: int | None = None) -> tuple[bool, str]:
@@ -249,7 +255,7 @@ def check_qrun_recurrence(max_n: int | None = None) -> tuple[bool, str]:
             )
             if entry(n + 1, k) != expected:
                 return False, f"recurrence fails at (n+1,k)=({n + 1},{k})"
-    return True, _range_detail(0, hi, "extracted entries satisfy the q-recurrence")
+    return _passed(0, hi, "extracted entries satisfy the q-recurrence")
 
 
 def check_plateau_triangle(max_n: int | None = None) -> tuple[bool, str]:
@@ -266,7 +272,7 @@ def check_plateau_triangle(max_n: int | None = None) -> tuple[bool, str]:
         if any(row[k] != tri.entry(n, k) for k in range(2 * n + 1)):
             return False, f"D^{n}(x) does not match F row {n}"
         image = g.derive(image)
-    return True, _range_detail(0, hi, "plateau-grammar images match the F triangle")
+    return _passed(0, hi, "plateau-grammar images match the F triangle")
 
 
 def check_gammavec_triangle(max_n: int | None = None) -> tuple[bool, str]:
@@ -283,7 +289,7 @@ def check_gammavec_triangle(max_n: int | None = None) -> tuple[bool, str]:
         if any(row[k] != tri.entry(n, k) for k in range(n + 1)):
             return False, f"D^{n}(x) does not match gamma row {n}"
         image = g.derive(image)
-    return True, _range_detail(0, hi, "gamma-grammar images match the gamma triangle")
+    return _passed(0, hi, "gamma-grammar images match the gamma triangle")
 
 
 def check_halfgamma_triangle(max_n: int | None = None) -> tuple[bool, str]:
@@ -298,7 +304,7 @@ def check_halfgamma_triangle(max_n: int | None = None) -> tuple[bool, str]:
         if any(row[k] != tri.entry(n, k) for k in range(n + 1)):
             return False, f"D^{n}(x) does not match f row {n}"
         image = g.derive(image)
-    return True, _range_detail(0, hi, "half-gamma images match the f triangle")
+    return _passed(0, hi, "half-gamma images match the f triangle")
 
 
 def check_gammavec_substitution(max_n: int | None = None) -> tuple[bool, str]:
@@ -316,7 +322,7 @@ def check_gammavec_substitution(max_n: int | None = None) -> tuple[bool, str]:
             return False, f"substituted gamma-grammar image differs at n={n}"
         im2 = g2.derive(im2)
         im3 = g3.derive(im3)
-    return True, _range_detail(0, hi, "a=yz, b=y+z carries the gamma grammar onto the plateau grammar")
+    return _passed(0, hi, "a=yz, b=y+z carries the gamma grammar onto the plateau grammar")
 
 
 def check_halfgamma_substitution(max_n: int | None = None) -> tuple[bool, str]:
@@ -334,7 +340,7 @@ def check_halfgamma_substitution(max_n: int | None = None) -> tuple[bool, str]:
             return False, f"substituted half-gamma image differs at n={n}"
         im2 = g2.derive(im2)
         im4 = g4.derive(im4)
-    return True, _range_detail(0, hi, "u=yz, v=y^2+z^2 carries the half-gamma grammar onto the plateau grammar")
+    return _passed(0, hi, "u=yz, v=y^2+z^2 carries the half-gamma grammar onto the plateau grammar")
 
 
 def check_qrun_to_halfgamma_morphism(max_n: int | None = None) -> tuple[bool, str]:
@@ -356,7 +362,7 @@ def check_qrun_to_halfgamma_morphism(max_n: int | None = None) -> tuple[bool, st
             return False, f"specialized q-run image differs at n={n}"
         im1 = g1.derive(im1)
         im4 = g4.derive(im4)
-    return True, _range_detail(0, hi, "q=1/2, a=x, b=2u, c=v carries the q-run grammar onto the half-gamma grammar")
+    return _passed(0, hi, "q=1/2, a=x, b=2u, c=v carries the q-run grammar onto the half-gamma grammar")
 
 
 def check_leibniz_convolution(max_n: int | None = None) -> tuple[bool, str]:
@@ -369,7 +375,7 @@ def check_leibniz_convolution(max_n: int | None = None) -> tuple[bool, str]:
             total = total + comb(n, k) * t_tri.row_poly(k) * t_tri.row_poly(n - k)
         if total != r_tri.row_poly(n + 1):
             return False, f"convolution fails at n={n}"
-    return True, _range_detail(0, hi, "R_(n+1) = sum C(n,k) T_k T_(n-k)")
+    return _passed(0, hi, "R_(n+1) = sum C(n,k) T_k T_(n-k)")
 
 
 def check_extraction_convolution(max_n: int | None = None) -> tuple[bool, str]:
@@ -389,7 +395,7 @@ def check_extraction_convolution(max_n: int | None = None) -> tuple[bool, str]:
         if extracted != total:
             return False, f"extraction and convolution disagree at n={n}"
         image = g.derive(image)
-    return True, _range_detail(0, hi, "D^n(a^2) rows equal the T convolution")
+    return _passed(0, hi, "D^n(a^2) rows equal the T convolution")
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +415,7 @@ def check_row_sums(max_n: int | None = None) -> tuple[bool, str]:
             return False, f"row sum fails at n={n}"
         if families.q_specialize(rq_tri.row(n), 1).evaluate(1) != fact:
             return False, f"Rq mass fails at n={n}"
-    return True, _range_detail(1, hi, "R, T, Rq rows all have mass n!")
+    return _passed(1, hi, "R, T, Rq rows all have mass n!")
 
 
 def check_T_from_R(max_n: int | None = None) -> tuple[bool, str]:
@@ -420,7 +426,7 @@ def check_T_from_R(max_n: int | None = None) -> tuple[bool, str]:
     for n in range(2, hi + 1):
         if 2 * t_tri.row_poly(n) != one_x * r_tri.row_poly(n):
             return False, f"T_n = (1+x)R_n/2 fails at n={n}"
-    return True, _range_detail(2, hi, "T_n = (1+x) R_n / 2")
+    return _passed(2, hi, "T_n = (1+x) R_n / 2")
 
 
 def check_root_multiplicity(max_n: int | None = None) -> tuple[bool, str]:
@@ -430,7 +436,7 @@ def check_root_multiplicity(max_n: int | None = None) -> tuple[bool, str]:
         m = root_multiplicity(tri.row_poly(n), Fraction(-1))
         if m != n // 2 - 1:
             return False, f"multiplicity {m} != {n // 2 - 1} at n={n}"
-    return True, _range_detail(2, hi, "x=-1 has multiplicity floor(n/2)-1 in R_n")
+    return _passed(2, hi, "x=-1 has multiplicity floor(n/2)-1 in R_n")
 
 
 def check_Rq_parity(max_n: int | None = None) -> tuple[bool, str]:
@@ -450,7 +456,7 @@ def check_Rq_parity(max_n: int | None = None) -> tuple[bool, str]:
         )
         if neg_q != neg_x or neg_both != row:
             return False, f"parity symmetry fails at n={n}"
-    return True, _range_detail(0, hi, "R_n(x;-q) = R_n(-x;q) and R_n(-x;-q) = R_n(x;q)")
+    return _passed(0, hi, "R_n(x;-q) = R_n(-x;q) and R_n(-x;-q) = R_n(x;q)")
 
 
 def check_d_at_minus_one(max_n: int | None = None) -> tuple[bool, str]:
@@ -459,7 +465,7 @@ def check_d_at_minus_one(max_n: int | None = None) -> tuple[bool, str]:
     for n in range(1, hi + 1):
         if seq.poly(n).evaluate(-1) != -(n - 1):
             return False, f"d_n(-1) fails at n={n}"
-    return True, _range_detail(1, hi, "d_n(-1) = -(n-1)")
+    return _passed(1, hi, "d_n(-1) = -(n-1)")
 
 
 def check_gamma_diagonal(max_n: int | None = None) -> tuple[bool, str]:
@@ -471,7 +477,7 @@ def check_gamma_diagonal(max_n: int | None = None) -> tuple[bool, str]:
             dfact *= 2 * n - 1
         if tri.entry(n + 1, n + 1) != (-1) ** n * dfact:
             return False, f"gamma diagonal fails at n={n}"
-    return True, _range_detail(1, hi, "gamma_(n+1,n+1) = (-1)^n (2n-1)!!")
+    return _passed(1, hi, "gamma_(n+1,n+1) = (-1)^n (2n-1)!!")
 
 
 def check_f_nonnegative(max_n: int | None = None) -> tuple[bool, str]:
@@ -480,7 +486,7 @@ def check_f_nonnegative(max_n: int | None = None) -> tuple[bool, str]:
     for n in range(hi + 1):
         if any(v < 0 for v in tri.row(n)):
             return False, f"negative entry in f row {n}"
-    return True, _range_detail(0, hi, "all f entries nonnegative")
+    return _passed(0, hi, "all f entries nonnegative")
 
 
 def check_b_two_routes(max_n: int | None = None) -> tuple[bool, str]:
@@ -496,7 +502,7 @@ def check_b_two_routes(max_n: int | None = None) -> tuple[bool, str]:
             ) * one_x ** (n - k)
         if assembled != seq.poly(n):
             return False, f"b_n routes disagree at n={n}"
-    return True, _range_detail(0, hi, "triangle assembly equals b recurrence")
+    return _passed(0, hi, "triangle assembly equals b recurrence")
 
 
 def check_c_from_b(max_n: int | None = None) -> tuple[bool, str]:
@@ -510,7 +516,7 @@ def check_c_from_b(max_n: int | None = None) -> tuple[bool, str]:
         quotient = divide_exact(Poly.x() * bseq.poly(n), one_x)
         if quotient != cseq.poly(n):
             return False, f"c_n = x b_n/(1+x) fails at n={n}"
-    return True, _range_detail(1, hi, "c_n = x b_n / (1+x)")
+    return _passed(1, hi, "c_n = x b_n / (1+x)")
 
 
 def check_F_two_reassemblies(max_n: int | None = None) -> tuple[bool, str]:
@@ -531,7 +537,7 @@ def check_F_two_reassemblies(max_n: int | None = None) -> tuple[bool, str]:
             via_f = via_f + v * Poly.from_terms({k: 1}) * one_x2 ** (n - k)
         if via_gamma != seq.poly(n) or via_f != seq.poly(n):
             return False, f"F reassembly fails at n={n}"
-    return True, _range_detail(1, hi, "gamma and f reassemblies both give F_n")
+    return _passed(1, hi, "gamma and f reassemblies both give F_n")
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +546,16 @@ def check_F_two_reassemblies(max_n: int | None = None) -> tuple[bool, str]:
 
 
 def _a_row_form(n: int) -> gammalab.GammaForm:
-    row = families.triangle("a", n).row(n)
-    return gammalab.GammaForm(n + 1, tuple(Fraction(v) for v in row))
+    return gammalab.GammaForm(n + 1, families.triangle("a", n).row(n))
 
 
 def _b_row_form(n: int) -> gammalab.GammaForm:
-    row = families.triangle("b", n).row(n)
-    return gammalab.GammaForm(n, tuple(Fraction(v) for v in row))
+    return gammalab.GammaForm(n, families.triangle("b", n).row(n))
+
+
+def _certificate_samples(n_poly: Poly, n: int, delta: int) -> list[Fraction]:
+    count = gammalab.certificate_sample_count(n_poly.degree, n, delta)
+    return gammalab.default_samples(count)
 
 
 def check_davidbarton_A_R(max_n: int | None = None) -> tuple[bool, str]:
@@ -558,10 +567,10 @@ def check_davidbarton_A_R(max_n: int | None = None) -> tuple[bool, str]:
         if assembled != r_n:
             return False, f"weighted assembly misses R_{n}"
         a_n = families.eulerian(n, "A")
-        samples = gammalab.default_samples(r_n.degree + 1)
+        samples = _certificate_samples(r_n, n, 1)
         if not gammalab.david_barton_identity_check(a_n, r_n, n, 1, samples):
             return False, f"surd identity fails for (A_{n}, R_{n})"
-    return True, _range_detail(2, hi, "(A_n, R_n, delta=1) certified")
+    return _passed(2, hi, "(A_n, R_n, delta=1) certified")
 
 
 def check_davidbarton_B_b(max_n: int | None = None) -> tuple[bool, str]:
@@ -573,10 +582,10 @@ def check_davidbarton_B_b(max_n: int | None = None) -> tuple[bool, str]:
         if assembled != b_n:
             return False, f"weighted assembly misses b_{n}"
         big_b = families.eulerian(n, "B")
-        samples = gammalab.default_samples(b_n.degree + 1)
+        samples = _certificate_samples(b_n, n, 0)
         if not gammalab.david_barton_identity_check(big_b, b_n, n, 0, samples):
             return False, f"surd identity fails for (B_{n}, b_{n})"
-    return True, _range_detail(1, hi, "(B_n, b_n, delta=0) certified")
+    return _passed(1, hi, "(B_n, b_n, delta=0) certified")
 
 
 def check_davidbarton_mutation(max_n: int | None = None) -> tuple[bool, str]:
@@ -585,7 +594,6 @@ def check_davidbarton_mutation(max_n: int | None = None) -> tuple[bool, str]:
     for n in range(2, hi + 1):
         r_n = r_tri.row_poly(n)
         form = _a_row_form(n)
-        samples = gammalab.default_samples(r_n.degree + 1)
         for k in range(len(form.gammas)):
             bumped = list(form.gammas)
             bumped[k] += 1
@@ -597,9 +605,12 @@ def check_davidbarton_mutation(max_n: int | None = None) -> tuple[bool, str]:
             if mutated == r_n:
                 return False, f"mutation (n={n}, k={k}) left the assembly fixed"
             a_n = families.eulerian(n, "A")
+            # sized for the mutated side: too few samples would reject the
+            # pair without evaluating it, and the check would pass vacuously
+            samples = _certificate_samples(mutated, n, 1)
             if gammalab.david_barton_identity_check(a_n, mutated, n, 1, samples):
                 return False, f"mutated pair still certifies at (n={n}, k={k})"
-    return True, _range_detail(2, hi, "every single-entry mutation is caught")
+    return _passed(2, hi, "every single-entry mutation is caught")
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +715,7 @@ def check_gamma_roundtrip(max_n: int | None = None) -> tuple[bool, str]:
         s = gammalab.semi_gamma_expand(p, low, high)
         if s.reassemble().shift(low) != p:
             return False, f"semi-gamma round trip fails on {p}"
-    return True, _range_detail(1, hi, "round trips on A_n, B_n, F_n")
+    return _passed(1, hi, "round trips on A_n, B_n, F_n")
 
 
 def check_gamma_to_lambda_random(
@@ -734,7 +745,7 @@ def check_gamma_positivity_propagation(max_n: int | None = None) -> tuple[bool, 
             lam = gammalab.gamma_to_lambda(form)
             if not form.is_positive() or not lam.is_positive():
                 return False, f"positivity propagation fails at n={n}"
-    return True, _range_detail(1, hi, "gamma-positive rows give nonnegative lambdas")
+    return _passed(1, hi, "gamma-positive rows give nonnegative lambdas")
 
 
 def check_split_halves_gamma_positive(max_n: int | None = None) -> tuple[bool, str]:
@@ -754,7 +765,7 @@ def check_split_halves_gamma_positive(max_n: int | None = None) -> tuple[bool, s
         # the halves' gamma vectors interleave the semi-gamma lambdas
         if form1.gammas != semi.lambdas[0::2]:
             return False, f"even-half gammas differ from lambda[0::2] at n={n}"
-    return True, _range_detail(1, hi, "both split halves are gamma-positive")
+    return _passed(1, hi, "both split halves are gamma-positive")
 
 
 # ---------------------------------------------------------------------------

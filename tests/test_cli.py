@@ -105,6 +105,16 @@ def test_budget_exit_3(capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_malformed_budget_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("ALTRUN_BUDGET", "abc")
+    with pytest.raises(SystemExit) as err:
+        main(["dist", "--class", "perm", "--stat", "altrun", "--n", "3"])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "ALTRUN_BUDGET must be a positive integer, got 'abc'" in err_text
+    assert "invalid literal" not in err_text
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from altrun import verify
 

@@ -173,6 +173,13 @@ def test_budget(monkeypatch):
     assert len(list(en.generate("perm", 4))) == 24
 
 
+@pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-3", ""])
+def test_malformed_budget_is_rejected(monkeypatch, raw):
+    monkeypatch.setenv("ALTRUN_BUDGET", raw)
+    with pytest.raises(ValueError, match="ALTRUN_BUDGET must be a positive integer"):
+        en.enumeration_budget()
+
+
 def test_format_word():
     assert en.format_word((3, 2, 4, 1, 5, 6)) == "324156"
     assert en.format_word((2, -1), "signed") == "+2 -1"

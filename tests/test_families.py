@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from altrun import enumeration
+from altrun import enumeration, families
 from altrun.errors import UnknownFamily
 from altrun.families import (
     Triangle,
@@ -74,6 +74,44 @@ def test_a_and_b_rows():
 def test_triangle_unknown():
     with pytest.raises(UnknownFamily):
         triangle("zzz", 3)
+
+
+def test_family_errors():
+    with pytest.raises(ValueError, match="family 'R' starts at row 1"):
+        triangle("R", 0)
+    with pytest.raises(ValueError, match="family 'cpoly' starts at index 1"):
+        polyseq("cpoly", 0)
+    with pytest.raises(UnknownFamily):
+        polyseq("zzz", 3)
+
+
+def test_row_store_extends_from_the_last_row(monkeypatch):
+    monkeypatch.setattr(families, "_TRIANGLE_ROWS", {})
+    computed = []
+    real_next_row = families._next_row
+
+    def counting_next_row(spec, n, rows):
+        computed.append(n)
+        return real_next_row(spec, n, rows)
+
+    monkeypatch.setattr(families, "_next_row", counting_next_row)
+    small, mid, big = triangle("R", 6), triangle("R", 3), triangle("R", 9)
+    assert computed == list(range(2, 10))  # each row once, in order
+    assert (small.max_n, mid.max_n, big.max_n) == (6, 3, 9)
+    assert big.rows[:6] == small.rows and big.rows[:3] == mid.rows
+    monkeypatch.setattr(families, "_TRIANGLE_ROWS", {})
+    assert triangle("R", 9) == big
+
+
+def test_polyseq_store_matches_a_fresh_computation(monkeypatch):
+    for name in families.POLY_FAMILIES:
+        monkeypatch.setattr(families, "_POLYSEQ_POLYS", {})
+        pieces = [polyseq(name, n) for n in (1, 4, 2, 7)]
+        monkeypatch.setattr(families, "_POLYSEQ_POLYS", {})
+        fresh = polyseq(name, 7)
+        for piece in pieces:
+            assert piece.polys == fresh.polys[: len(piece.polys)]
+            assert piece.min_n == fresh.min_n
 
 
 def test_dpoly():

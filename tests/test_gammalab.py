@@ -101,7 +101,10 @@ def test_identity_check_worked_sample():
     assert x == F(4, 5)
     rhs = ((1 + x) / 2) * (1 + t) ** 3 * a2.evaluate((1 - t) / (1 + t))
     assert rhs == F(8, 5) == r2.evaluate(x)
-    assert gl.david_barton_identity_check(a2, r2, 2, 1, [F(1, 3), F(1, 2)])
+    # a proof for (n, delta) = (2, 1) needs certificate_sample_count(1, 2, 1) = 4 points
+    samples = [F(1, 3), F(1, 2), F(1, 4), F(1, 5)]
+    assert len(samples) == gl.certificate_sample_count(r2.degree, 2, 1)
+    assert gl.david_barton_identity_check(a2, r2, 2, 1, samples)
 
 
 def test_identity_check_needs_enough_samples():
@@ -113,7 +116,7 @@ def test_identity_check_needs_enough_samples():
 def test_identity_check_rejects_mutations():
     a3 = eulerian(3, "A")
     r3 = triangle("R", 3).row_poly(3)
-    samples = gl.default_samples(r3.degree + 1)
+    samples = gl.default_samples(gl.certificate_sample_count(r3.degree, 3, 1))
     assert gl.david_barton_identity_check(a3, r3, 3, 1, samples)
     # bump one gamma entry on either side
     mutated_assembly = gl.david_barton_assemble(
@@ -127,13 +130,50 @@ def test_identity_check_rejects_mutations():
 def test_db_range_certificates():
     for n in range(2, 7):
         r_n = triangle("R", n).row_poly(n)
-        samples = gl.default_samples(r_n.degree + 1)
+        samples = gl.default_samples(gl.certificate_sample_count(r_n.degree, n, 1))
         assert gl.david_barton_identity_check(eulerian(n, "A"), r_n, n, 1, samples)
     bpolys = polyseq("bpoly", 6)
     for n in range(1, 7):
         b_n = bpolys.poly(n)
-        samples = gl.default_samples(b_n.degree + 1)
+        samples = gl.default_samples(gl.certificate_sample_count(b_n.degree, n, 0))
         assert gl.david_barton_identity_check(eulerian(n, "B"), b_n, n, 0, samples)
+
+
+def _m_bad() -> Poly:
+    """A_4 + prod_j (m - m_j) with m_j = (1-t_j)/(1+t_j), t_j = 1/2..1/5.
+
+    The surd identity against R_4 holds exactly at t = 1/2..1/5 and nowhere
+    else in (0, 1), so deg R_4 + 1 = 4 samples cannot tell it from A_4.
+    """
+    prod = Poly.one()
+    for j in range(2, 6):
+        t = F(1, j)
+        prod = prod * Poly([-(1 - t) / (1 + t), 1])
+    return eulerian(4, "A") + prod
+
+
+def test_identity_check_rejects_m_bad():
+    r4 = triangle("R", 4).row_poly(4)
+    m_bad = _m_bad()
+    assert str(m_bad) == "1/15 + 41/90*x + 568/45*x^2 + 89/10*x^3 + 2*x^4"
+    # accepted before the sample count came from the degree bound
+    assert not gl.david_barton_identity_check(m_bad, r4, 4, 1, gl.default_samples(4))
+    count = gl.certificate_sample_count(r4.degree, 4, 1)
+    assert count == 7
+    assert not gl.david_barton_identity_check(m_bad, r4, 4, 1, gl.default_samples(count))
+    assert gl.david_barton_identity_check(eulerian(4, "A"), r4, 4, 1, gl.default_samples(count))
+
+
+def test_identity_check_rejects_too_few_samples_and_high_degree_m():
+    r4 = triangle("R", 4).row_poly(4)
+    a4 = eulerian(4, "A")
+    count = gl.certificate_sample_count(r4.degree, 4, 1)
+    assert not gl.david_barton_identity_check(a4, r4, 4, 1, gl.default_samples(count - 1))
+    # deg M = 6 > n + delta = 5
+    high = a4 + Poly.from_terms({6: 1})
+    assert not gl.david_barton_identity_check(high, r4, 4, 1, gl.default_samples(40))
+    with pytest.raises(ValueError):
+        gl.certificate_sample_count(3, 1, 2)
 
 
 @st.composite
