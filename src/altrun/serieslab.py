@@ -596,8 +596,15 @@ def check_F_dual_at(x0: Scalar, order: int) -> IdentityReport:
 def check_F_dual_certificate(order: int) -> IdentityReport:
     """Pointwise F-dual checks at enough samples to certify each degree.
 
-    deg F_n = 2n-1, so 2*order+2 distinct x0 values (including 0) exceed the
-    degree of every compared coefficient.
+    Degree bound: the n-th coefficient of the closed side at x0 is a
+    polynomial in x0 of degree at most 2n.  The inner series has n-th EGF
+    coefficient (1+x^2)^n T_n(2x/(1+x^2)) = sum_k T_(n,k) (2x)^k
+    (1+x^2)^(n-k), of degree at most 2n, and constant term 1.  The n-th EGF
+    coefficient of its square root is a rational combination of products
+    s_j1 ... s_jm of those coefficients with j1 + ... + jm = n, so it stays
+    within degree 2n.  deg F_n = 2n-1, so 2n+1 distinct samples certify
+    row n, and the 2*order+2 samples j/(2*order+2), j = 0..2*order+1, cover
+    every n <= order.
     """
     sample_count = 2 * order + 2
     samples = [Fraction(j, sample_count) for j in range(sample_count)]
@@ -615,19 +622,6 @@ def check_F_dual_certificate(order: int) -> IdentityReport:
     return IdentityReport(
         "F-dual certificate", order, True, None, tuple(samples), ()
     )
-
-
-def egf_specialized_identities(which: str, params: dict, order: int) -> IdentityReport:
-    """Dispatcher for the named specialized identities."""
-    if which == "derangement":
-        return check_derangement_egf(order)
-    if which == "F_dual":
-        return check_F_dual_at(params["x0"], order)
-    if which == "f_diag":
-        return check_f_diagonal(order)
-    if which == "d_diag":
-        return check_d_diagonal(order)
-    raise ValueError(f"unknown identity {which!r}")
 
 
 # ---------------------------------------------------------------------------

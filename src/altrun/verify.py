@@ -5,6 +5,13 @@ brute-force enumeration, grammar image vs triangle, closed-form EGF vs
 triangle, surd identity vs weighted assembly, ...) and reports one
 pass/fail line.  Suites group the checks the way the acceptance criteria
 do; `run_suite("all")` runs everything.
+
+Most checks are row-shaped: a generator yields (n, route A, route B) for
+n = lo..hi and `_compare` fails on the first unequal pair.  The factories
+below build the recurring shapes (enumeration rows, grammar rows, grammar
+substitutions, series reports) on top of it.  Every check registers in
+`_CHECKS` next to its definition, with its id and the `run_suite` argument
+it takes.
 """
 
 from __future__ import annotations
@@ -13,12 +20,14 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
-from typing import Callable
+from functools import partial
+from math import comb, factorial, prod
+from typing import Callable, Iterator
 
 from . import enumeration, families, gammalab, grammar, serieslab
+from .errors import SizeLimit
 from .multipoly import MultiPoly
-from .polys import Poly, root_multiplicity
+from .polys import Poly, divide_exact, root_multiplicity
 
 SUITES = (
     "grammar",
@@ -67,8 +76,26 @@ class VerifyReport:
         )
 
 
-def _cap(stated: int, max_n: int | None) -> int:
-    return stated if max_n is None else min(stated, max_n)
+# ---------------------------------------------------------------------------
+# the registry and the comparison primitive
+# ---------------------------------------------------------------------------
+
+# suite -> [(check id, check)]; a check's `arg` attribute names the run_suite
+# argument it takes ("max_n" when absent)
+_CHECKS: dict[str, list[tuple[str, Callable]]] = {suite: [] for suite in SUITES}
+
+Rows = Callable[[int], Iterator[tuple]]
+
+
+def _register(check_id: str, arg: str = "max_n") -> Callable:
+    """Add the decorated check to the suite named by its id's prefix."""
+
+    def add(fn: Callable) -> Callable:
+        fn.arg = arg
+        _CHECKS[check_id.split("/", 1)[0]].append((check_id, fn))
+        return fn
+
+    return add
 
 
 def _passed(lo: int, hi: int, what: str) -> tuple[bool, str]:
@@ -81,92 +108,86 @@ def _passed(lo: int, hi: int, what: str) -> tuple[bool, str]:
     return True, f"{what} for n={lo}..{hi}"
 
 
+def _compare(lo: int, stated: int, what: str, rows: Rows, max_n: int | None) -> tuple[bool, str]:
+    """Compare route A with route B on every pair `rows(hi)` yields.
+
+    `rows(hi)` yields (n, a, b) for n = lo..hi, hi = min(stated, max_n);
+    the first pair with a != b fails the check.
+    """
+    hi = stated if max_n is None else min(stated, max_n)
+    for n, a, b in rows(hi):
+        if a != b:
+            return False, f"mismatch at n={n}: {a} vs {b}"
+    return _passed(lo, hi, what)
+
+
+def _rows(check_id: str, lo: int, stated: int, what: str) -> Callable[[Rows], Callable]:
+    """Register a rows generator as the check `check(max_n=None)`."""
+
+    def make(rows: Rows) -> Callable:
+        def check(max_n: int | None = None) -> tuple[bool, str]:
+            return _compare(lo, stated, what, rows, max_n)
+
+        check.__doc__ = rows.__doc__
+        return _register(check_id)(check)
+
+    return make
+
+
 # ---------------------------------------------------------------------------
 # enumeration suite: triangle rows against brute-force distributions
 # ---------------------------------------------------------------------------
 
 
-def check_altrun_vs_R(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(8, max_n)
-    tri = families.triangle("R", hi)
-    for n in range(1, hi + 1):
-        dist = enumeration.distribution("perm", n, [("altrun", "x")]).as_poly("x")
-        if dist != tri.row_poly(n):
-            return False, f"mismatch at n={n}: {dist} vs {tri.row_poly(n)}"
-    return _passed(1, hi, "altrun distribution equals R row")
+def _enumeration(check_id: str, klass: str, stats: list, stated: int, what: str, expected: Callable) -> Callable:
+    """The distribution of `stats` over `klass` against `expected(hi)(n)`, n=1..hi.
+
+    A single statistic is compared as a polynomial in x, a pair as the joint
+    polynomial.
+    """
+
+    def rows(hi: int):
+        want = expected(hi)
+        for n in range(1, hi + 1):
+            dist = enumeration.distribution(klass, n, stats)
+            yield n, dist if len(stats) > 1 else dist.as_poly("x"), want(n)
+
+    return _rows(check_id, 1, stated, what)(rows)
 
 
-def check_udrun_vs_T(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(8, max_n)
-    tri = families.triangle("T", hi)
-    for n in range(1, hi + 1):
-        dist = enumeration.distribution("perm", n, [("udrun", "x")]).as_poly("x")
-        if dist != tri.row_poly(n):
-            return False, f"mismatch at n={n}"
-    return _passed(1, hi, "udrun distribution equals T row")
-
-
-def check_crun_cyc_vs_Rq(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(8, max_n)
-    tri = families.triangle("Rq", hi)
-    for n in range(1, hi + 1):
-        dist = enumeration.distribution("perm", n, [("crun", "x"), ("cyc", "q")])
-        if dist != tri.row_multipoly(n, "x", "q"):
-            return False, f"mismatch at n={n}"
-    return _passed(1, hi, "(crun, cyc) distribution equals Rq row")
-
-
-def check_derangement_crun_vs_d(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(9, max_n)
-    seq = families.polyseq("dpoly", hi)
-    for n in range(1, hi + 1):
-        dist = enumeration.distribution("derangement", n, [("crun", "x")]).as_poly("x")
-        if dist != seq.poly(n):
-            return False, f"mismatch at n={n}"
-    return _passed(1, hi, "derangement crun equals d_n")
-
-
-def check_stirling_fap_vs_F(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(7, max_n)
-    tri = families.triangle("F", hi)
-    for n in range(1, hi + 1):
-        dist = enumeration.distribution("stirling", n, [("fap", "x")]).as_poly("x")
-        if dist != tri.row_poly(n):
-            return False, f"mismatch at n={n}"
-    return _passed(1, hi, "Stirling fap distribution equals F row")
-
-
-def check_dual_stirling_altrun_vs_F(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(7, max_n)
-    tri = families.triangle("F", hi)
-    for n in range(1, hi + 1):
-        dist = enumeration.distribution(
-            "dual_stirling", n, [("altrun", "x")]
-        ).as_poly("x")
-        if dist != tri.row_poly(n):
-            return False, f"mismatch at n={n}"
-    return _passed(1, hi, "dual-Stirling altrun equals F row")
-
-
-def check_signed_desB_vs_B(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(6, max_n)
-    for n in range(1, hi + 1):
-        dist = enumeration.distribution("signed", n, [("des_B", "x")]).as_poly("x")
-        if dist != families.eulerian(n, "B"):
-            return False, f"mismatch at n={n}"
-    return _passed(1, hi, "signed des_B equals B_n")
-
-
-def check_signed_hat_altrunB_vs_c(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(6, max_n)
-    seq = families.polyseq("cpoly", hi)
-    for n in range(1, hi + 1):
-        dist = enumeration.distribution(
-            "signed_hat", n, [("altrun_B", "x")]
-        ).as_poly("x")
-        if dist != seq.poly(n):
-            return False, f"mismatch at n={n}"
-    return _passed(1, hi, "signed-hat altrun equals c_n")
+check_altrun_vs_R = _enumeration(
+    "enumeration/altrun-vs-R", "perm", [("altrun", "x")], 8,
+    "altrun distribution equals R row", lambda hi: families.triangle("R", hi).row_poly,
+)
+check_udrun_vs_T = _enumeration(
+    "enumeration/udrun-vs-T", "perm", [("udrun", "x")], 8,
+    "udrun distribution equals T row", lambda hi: families.triangle("T", hi).row_poly,
+)
+check_crun_cyc_vs_Rq = _enumeration(
+    "enumeration/crun-cyc-vs-Rq", "perm", [("crun", "x"), ("cyc", "q")], 8,
+    "(crun, cyc) distribution equals Rq row",
+    lambda hi: families.triangle("Rq", hi).row_multipoly,
+)
+check_derangement_crun_vs_d = _enumeration(
+    "enumeration/derangement-crun-vs-d", "derangement", [("crun", "x")], 9,
+    "derangement crun equals d_n", lambda hi: families.polyseq("dpoly", hi).poly,
+)
+check_stirling_fap_vs_F = _enumeration(
+    "enumeration/stirling-fap-vs-F", "stirling", [("fap", "x")], 7,
+    "Stirling fap distribution equals F row", lambda hi: families.triangle("F", hi).row_poly,
+)
+check_dual_stirling_altrun_vs_F = _enumeration(
+    "enumeration/dual-stirling-altrun-vs-F", "dual_stirling", [("altrun", "x")], 7,
+    "dual-Stirling altrun equals F row", lambda hi: families.triangle("F", hi).row_poly,
+)
+check_signed_desB_vs_B = _enumeration(
+    "enumeration/signed-desB-vs-B", "signed", [("des_B", "x")], 6,
+    "signed des_B equals B_n", lambda hi: partial(families.eulerian, kind="B"),
+)
+check_signed_hat_altrunB_vs_c = _enumeration(
+    "enumeration/signed-hat-altrunB-vs-c", "signed_hat", [("altrun_B", "x")], 6,
+    "signed-hat altrun equals c_n", lambda hi: families.polyseq("cpoly", hi).poly,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -174,228 +195,132 @@ def check_signed_hat_altrunB_vs_c(max_n: int | None = None) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def check_updown_grammar(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(10, max_n)
-    g = grammar.named_grammar("updown")
-    t_tri = families.triangle("T", hi)
-    r_tri = families.triangle("R", hi + 1)
-    image_a = g.letter("a")
-    image_a2 = g.letter("a") ** 2
-    for n in range(hi + 1):
-        row_t = grammar.entries_as_fractions(
-            grammar.extract_row(image_a, "a", "b", "c", n)
-        )
-        if list(row_t) != [Fraction(t_tri.entry(n, k)) for k in range(n + 1)]:
-            return False, f"D^{n}(a) does not match T row {n}"
-        row_r = grammar.entries_as_fractions(
-            grammar.extract_row(image_a2, g.letter("a") ** 2, "b", "c", n)
-        )
-        if list(row_r) != [Fraction(r_tri.entry(n + 1, k)) for k in range(n + 1)]:
-            return False, f"D^{n}(a^2) does not match R row {n + 1}"
-        image_a = g.derive(image_a)
-        image_a2 = g.derive(image_a2)
-    return _passed(0, hi, "seed a gives T rows and seed a^2 gives R rows")
+def _images(name: str, seed: str, count: str, co: str, hi: int, power: int = 1, wide: int = 1, co_step: int = 1):
+    """(n, row n of D^n(seed^power)) for n=0..hi, D the grammar `name`.
 
-
-def check_doubled_grammar(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(10, max_n)
-    g = grammar.named_grammar("doubled")
-    r_tri = families.triangle("R", hi + 1)
-    image = g.letter("a")
+    Row n has entries k = 0..wide*n, read off the terms
+    seed^power * entry_k * count^k * co^(co_step*(wide*n - k)).
+    """
+    g = grammar.named_grammar(name)
+    seed_poly = g.letter(seed) ** power
+    image = seed_poly
     for n in range(hi + 1):
-        row = grammar.entries_as_fractions(
-            grammar.extract_row(image, "a", "b", "c", n)
+        w = wide * n
+        yield n, grammar.extract_row(
+            image, seed_poly, count, co, w, co_exponent=lambda k: co_step * (w - k)
         )
-        if list(row) != [Fraction(r_tri.entry(n + 1, k)) for k in range(n + 1)]:
-            return False, f"D^{n}(a) does not match R row {n + 1}"
         image = g.derive(image)
-    return _passed(0, hi, "doubled grammar matches R rows")
 
 
-def check_qrun_triangle(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(10, max_n)
-    g = grammar.named_grammar("qrun")
-    tri = families.triangle("Rq", hi)
-    image = g.letter("a")
-    for n in range(hi + 1):
-        row = grammar.entries_as_polys(
-            grammar.extract_row(image, "a", "b", "c", n), "q"
-        )
-        expected = [tri.entry(n, k) for k in range(n + 1)]
-        expected = [e if isinstance(e, Poly) else Poly.constant(e) for e in expected]
-        if row != expected:
-            return False, f"D^{n}(a) does not match Rq row {n}"
-        image = g.derive(image)
-    return _passed(0, hi, "q-run images match the q-triangle")
+def _grammar_rows(name: str, seed: str, count: str, co: str, family: str, shift: int = 0,
+                  var: str | None = None, **shape) -> Rows:
+    """Rows of the grammar `name` (see `_images`) against row n+shift of `family`.
+
+    The extracted entries are rationals, or polynomials in `var` when given.
+    """
+
+    def rows(hi: int):
+        tri = families.triangle(family, hi + shift)
+        for n, row in _images(name, seed, count, co, hi, **shape):
+            entries = grammar.entries_as_polys(row, var) if var else grammar.entries_as_fractions(row)
+            yield n, entries, [tri.entry(n + shift, k) for k in range(len(row))]
+
+    return rows
 
 
-def check_qrun_recurrence(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(10, max_n)
-    g = grammar.named_grammar("qrun")
+_updown_T = _grammar_rows("updown", "a", "b", "c", "T")
+_updown_R = _grammar_rows("updown", "a", "b", "c", "R", shift=1, power=2)
+
+
+@_rows("grammar/updown", 0, 10, "seed a gives T rows and seed a^2 gives R rows")
+def check_updown_grammar(hi: int):
+    yield from _updown_T(hi)
+    yield from _updown_R(hi)
+
+
+check_doubled_grammar = _rows("grammar/doubled", 0, 10, "doubled grammar matches R rows")(
+    _grammar_rows("doubled", "a", "b", "c", "R", shift=1)
+)
+check_qrun_triangle = _rows("grammar/qrun-triangle", 0, 10, "q-run images match the q-triangle")(
+    _grammar_rows("qrun", "a", "b", "c", "Rq", var="q")
+)
+check_plateau_triangle = _rows(
+    "grammar/plateau-F-triangle", 0, 10, "plateau-grammar images match the F triangle"
+)(_grammar_rows("plateau", "x", "y", "z", "F", wide=2))
+check_gammavec_triangle = _rows(
+    "grammar/gamma-triangle", 0, 10, "gamma-grammar images match the gamma triangle"
+)(_grammar_rows("gammavec", "x", "a", "b", "gamma", co_step=2))
+check_halfgamma_triangle = _rows(
+    "grammar/halfgamma-f-triangle", 0, 10, "half-gamma images match the f triangle"
+)(_grammar_rows("halfgamma", "x", "u", "v", "f"))
+
+
+@_rows("grammar/qrun-recurrence", 0, 10, "extracted entries satisfy the q-recurrence")
+def check_qrun_recurrence(hi: int):
+    """Row n read off D^n(a) follows from row n-1 by the q-recurrence."""
+    rows = [grammar.entries_as_polys(row, "q") for _, row in _images("qrun", "a", "b", "c", hi)]
     q = Poly.x()
-    rows = []
-    image = g.letter("a")
-    for n in range(hi + 1):
-        rows.append(
-            grammar.entries_as_polys(grammar.extract_row(image, "a", "b", "c", n), "q")
-        )
-        image = g.derive(image)
 
     def entry(n, k):
-        if 0 <= n < len(rows) and 0 <= k < len(rows[n]):
-            return rows[n][k]
-        return Poly.zero()
+        return rows[n][k] if 0 <= k < len(rows[n]) else Poly.zero()
 
-    for n in range(hi):
-        for k in range(n + 2):
-            expected = (
-                k * entry(n, k)
-                + q * entry(n, k - 1)
-                + (n - k + 2) * entry(n, k - 2)
-            )
-            if entry(n + 1, k) != expected:
-                return False, f"recurrence fails at (n+1,k)=({n + 1},{k})"
-    return _passed(0, hi, "extracted entries satisfy the q-recurrence")
+    for n in range(1, hi + 1):
+        yield n, rows[n], [
+            k * entry(n - 1, k) + q * entry(n - 1, k - 1) + (n - k + 1) * entry(n - 1, k - 2)
+            for k in range(n + 1)
+        ]
 
 
-def check_plateau_triangle(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(10, max_n)
-    g = grammar.named_grammar("plateau")
-    tri = families.triangle("F", hi)
-    image = g.letter("x")
-    for n in range(hi + 1):
-        row = grammar.entries_as_fractions(
-            grammar.extract_row(
-                image, "x", "y", "z", 2 * n, co_exponent=lambda k: 2 * n - k
-            )
-        )
-        if any(row[k] != tri.entry(n, k) for k in range(2 * n + 1)):
-            return False, f"D^{n}(x) does not match F row {n}"
-        image = g.derive(image)
-    return _passed(0, hi, "plateau-grammar images match the F triangle")
+def _convolution(t_tri: families.Triangle, n: int) -> Poly:
+    """sum_k C(n,k) T_k T_(n-k)."""
+    return sum(
+        (comb(n, k) * t_tri.row_poly(k) * t_tri.row_poly(n - k) for k in range(n + 1)),
+        Poly.zero(),
+    )
 
 
-def check_gammavec_triangle(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(10, max_n)
-    g = grammar.named_grammar("gammavec")
-    tri = families.triangle("gamma", hi)
-    image = g.letter("x")
-    for n in range(hi + 1):
-        row = grammar.entries_as_fractions(
-            grammar.extract_row(
-                image, "x", "a", "b", n, co_exponent=lambda k: 2 * n - 2 * k
-            )
-        )
-        if any(row[k] != tri.entry(n, k) for k in range(n + 1)):
-            return False, f"D^{n}(x) does not match gamma row {n}"
-        image = g.derive(image)
-    return _passed(0, hi, "gamma-grammar images match the gamma triangle")
-
-
-def check_halfgamma_triangle(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(10, max_n)
-    g = grammar.named_grammar("halfgamma")
-    tri = families.triangle("f", hi)
-    image = g.letter("x")
-    for n in range(hi + 1):
-        row = grammar.entries_as_fractions(
-            grammar.extract_row(image, "x", "u", "v", n)
-        )
-        if any(row[k] != tri.entry(n, k) for k in range(n + 1)):
-            return False, f"D^{n}(x) does not match f row {n}"
-        image = g.derive(image)
-    return _passed(0, hi, "half-gamma images match the f triangle")
-
-
-def check_gammavec_substitution(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(10, max_n)
-    g2 = grammar.named_grammar("plateau")
-    g3 = grammar.named_grammar("gammavec")
-    target = g2.alphabet  # (x, y, z)
-    y = MultiPoly.variable(target, "y")
-    z = MultiPoly.variable(target, "z")
-    images = {"a": y * z, "b": y + z}
-    im2 = g2.letter("x")
-    im3 = g3.letter("x")
-    for n in range(hi + 1):
-        if im3.substitute(images, target) != im2:
-            return False, f"substituted gamma-grammar image differs at n={n}"
-        im2 = g2.derive(im2)
-        im3 = g3.derive(im3)
-    return _passed(0, hi, "a=yz, b=y+z carries the gamma grammar onto the plateau grammar")
-
-
-def check_halfgamma_substitution(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(10, max_n)
-    g2 = grammar.named_grammar("plateau")
-    g4 = grammar.named_grammar("halfgamma")
-    target = g2.alphabet
-    y = MultiPoly.variable(target, "y")
-    z = MultiPoly.variable(target, "z")
-    images = {"u": y * z, "v": y * y + z * z}
-    im2 = g2.letter("x")
-    im4 = g4.letter("x")
-    for n in range(hi + 1):
-        if im4.substitute(images, target) != im2:
-            return False, f"substituted half-gamma image differs at n={n}"
-        im2 = g2.derive(im2)
-        im4 = g4.derive(im4)
-    return _passed(0, hi, "u=yz, v=y^2+z^2 carries the half-gamma grammar onto the plateau grammar")
-
-
-def check_qrun_to_halfgamma_morphism(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(10, max_n)
-    g1 = grammar.named_grammar("qrun")
-    g4 = grammar.named_grammar("halfgamma")
-    target = g4.alphabet  # (x, u, v)
-    u = MultiPoly.variable(target, "u")
-    images = {
-        "q": Fraction(1, 2),
-        "a": MultiPoly.variable(target, "x"),
-        "b": 2 * u,
-        "c": MultiPoly.variable(target, "v"),
-    }
-    im1 = g1.letter("a")
-    im4 = g4.letter("x")
-    for n in range(hi + 1):
-        if im1.substitute(images, target) != im4:
-            return False, f"specialized q-run image differs at n={n}"
-        im1 = g1.derive(im1)
-        im4 = g4.derive(im4)
-    return _passed(0, hi, "q=1/2, a=x, b=2u, c=v carries the q-run grammar onto the half-gamma grammar")
-
-
-def check_leibniz_convolution(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(12, max_n)
-    t_tri = families.triangle("T", hi)
-    r_tri = families.triangle("R", hi + 1)
-    for n in range(hi + 1):
-        total = Poly.zero()
-        for k in range(n + 1):
-            total = total + comb(n, k) * t_tri.row_poly(k) * t_tri.row_poly(n - k)
-        if total != r_tri.row_poly(n + 1):
-            return False, f"convolution fails at n={n}"
-    return _passed(0, hi, "R_(n+1) = sum C(n,k) T_k T_(n-k)")
-
-
-def check_extraction_convolution(max_n: int | None = None) -> tuple[bool, str]:
+@_rows("grammar/extraction-convolution", 0, 10, "D^n(a^2) rows equal the T convolution")
+def check_extraction_convolution(hi: int):
     """Rows read off D^n(a^2) agree with the Leibniz convolution of T rows."""
-    hi = _cap(10, max_n)
-    g = grammar.named_grammar("updown")
     t_tri = families.triangle("T", hi)
-    image = g.letter("a") ** 2
-    for n in range(hi + 1):
-        entries = grammar.entries_as_fractions(
-            grammar.extract_row(image, g.letter("a") ** 2, "b", "c", n)
-        )
-        extracted = Poly(entries)
-        total = Poly.zero()
-        for k in range(n + 1):
-            total = total + comb(n, k) * t_tri.row_poly(k) * t_tri.row_poly(n - k)
-        if extracted != total:
-            return False, f"extraction and convolution disagree at n={n}"
-        image = g.derive(image)
-    return _passed(0, hi, "D^n(a^2) rows equal the T convolution")
+    for n, row in _images("updown", "a", "b", "c", hi, power=2):
+        yield n, Poly(grammar.entries_as_fractions(row)), _convolution(t_tri, n)
+
+
+def _substitution(source: str, source_seed: str, target: str, images: Callable) -> Rows:
+    """D^n(source_seed) in grammar `source`, its letters replaced by
+    `images(variable)`, against D^n(x) in grammar `target`."""
+
+    def rows(hi: int):
+        g_src, g_dst = grammar.named_grammar(source), grammar.named_grammar(target)
+        alphabet = g_dst.alphabet
+        subst = images(partial(MultiPoly.variable, alphabet))
+        im_src, im_dst = g_src.letter(source_seed), g_dst.letter("x")
+        for n in range(hi + 1):
+            yield n, im_src.substitute(subst, alphabet), im_dst
+            im_src, im_dst = g_src.derive(im_src), g_dst.derive(im_dst)
+
+    return rows
+
+
+check_gammavec_substitution = _rows(
+    "grammar/gamma-substitution", 0, 10,
+    "a=yz, b=y+z carries the gamma grammar onto the plateau grammar",
+)(_substitution("gammavec", "x", "plateau", lambda v: {"a": v("y") * v("z"), "b": v("y") + v("z")}))
+check_halfgamma_substitution = _rows(
+    "grammar/halfgamma-substitution", 0, 10,
+    "u=yz, v=y^2+z^2 carries the half-gamma grammar onto the plateau grammar",
+)(_substitution(
+    "halfgamma", "x", "plateau",
+    lambda v: {"u": v("y") * v("z"), "v": v("y") * v("y") + v("z") * v("z")},
+))
+check_qrun_to_halfgamma_morphism = _rows(
+    "grammar/qrun-halfgamma-morphism", 0, 10,
+    "q=1/2, a=x, b=2u, c=v carries the q-run grammar onto the half-gamma grammar",
+)(_substitution(
+    "qrun", "a", "halfgamma",
+    lambda v: {"q": Fraction(1, 2), "a": v("x"), "b": 2 * v("u"), "c": v("v")},
+))
 
 
 # ---------------------------------------------------------------------------
@@ -403,141 +328,112 @@ def check_extraction_convolution(max_n: int | None = None) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def check_row_sums(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(12, max_n)
-    r_tri = families.triangle("R", hi)
+@_rows("triangles/leibniz-convolution", 0, 12, "R_(n+1) = sum C(n,k) T_k T_(n-k)")
+def check_leibniz_convolution(hi: int):
     t_tri = families.triangle("T", hi)
-    rq_tri = families.triangle("Rq", hi)
-    fact = 1
+    r_tri = families.triangle("R", hi + 1)
+    for n in range(hi + 1):
+        yield n, _convolution(t_tri, n), r_tri.row_poly(n + 1)
+
+
+@_rows("triangles/row-sums", 1, 12, "R, T, Rq rows all have mass n!")
+def check_row_sums(hi: int):
+    r_tri, t_tri, rq_tri = (families.triangle(name, hi) for name in ("R", "T", "Rq"))
     for n in range(1, hi + 1):
-        fact *= n
-        if sum(r_tri.row(n)) != fact or sum(t_tri.row(n)) != fact:
-            return False, f"row sum fails at n={n}"
-        if families.q_specialize(rq_tri.row(n), 1).evaluate(1) != fact:
-            return False, f"Rq mass fails at n={n}"
-    return _passed(1, hi, "R, T, Rq rows all have mass n!")
+        yield n, sum(r_tri.row(n)), factorial(n)
+        yield n, sum(t_tri.row(n)), factorial(n)
+        yield n, families.q_specialize(rq_tri.row(n), 1).evaluate(1), factorial(n)
 
 
-def check_T_from_R(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(12, max_n)
+@_rows("triangles/T-from-R", 2, 12, "T_n = (1+x) R_n / 2")
+def check_T_from_R(hi: int):
     r_tri = families.triangle("R", hi)
     t_tri = families.triangle("T", hi)
-    one_x = Poly([1, 1])
     for n in range(2, hi + 1):
-        if 2 * t_tri.row_poly(n) != one_x * r_tri.row_poly(n):
-            return False, f"T_n = (1+x)R_n/2 fails at n={n}"
-    return _passed(2, hi, "T_n = (1+x) R_n / 2")
+        yield n, 2 * t_tri.row_poly(n), Poly([1, 1]) * r_tri.row_poly(n)
 
 
-def check_root_multiplicity(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(12, max_n)
+@_rows("triangles/root-multiplicity", 2, 12, "x=-1 has multiplicity floor(n/2)-1 in R_n")
+def check_root_multiplicity(hi: int):
     tri = families.triangle("R", hi)
     for n in range(2, hi + 1):
-        m = root_multiplicity(tri.row_poly(n), Fraction(-1))
-        if m != n // 2 - 1:
-            return False, f"multiplicity {m} != {n // 2 - 1} at n={n}"
-    return _passed(2, hi, "x=-1 has multiplicity floor(n/2)-1 in R_n")
+        yield n, root_multiplicity(tri.row_poly(n), Fraction(-1)), n // 2 - 1
 
 
-def check_Rq_parity(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(12, max_n)
+@_rows("triangles/Rq-parity", 0, 12, "R_n(x;-q) = R_n(-x;q) and R_n(-x;-q) = R_n(x;q)")
+def check_Rq_parity(hi: int):
     tri = families.triangle("Rq", hi)
     for n in range(hi + 1):
         row = tri.row_multipoly(n, "x", "q")
         alphabet = row.alphabet
-        neg_q = row.substitute(
-            {"q": -MultiPoly.variable(alphabet, "q")}, alphabet
-        )
-        neg_x = row.substitute(
-            {"x": -MultiPoly.variable(alphabet, "x")}, alphabet
-        )
-        neg_both = neg_q.substitute(
-            {"x": -MultiPoly.variable(alphabet, "x")}, alphabet
-        )
-        if neg_q != neg_x or neg_both != row:
-            return False, f"parity symmetry fails at n={n}"
-    return _passed(0, hi, "R_n(x;-q) = R_n(-x;q) and R_n(-x;-q) = R_n(x;q)")
+        neg_x = {"x": -MultiPoly.variable(alphabet, "x")}
+        neg_q = row.substitute({"q": -MultiPoly.variable(alphabet, "q")}, alphabet)
+        yield n, neg_q, row.substitute(neg_x, alphabet)
+        yield n, neg_q.substitute(neg_x, alphabet), row
 
 
-def check_d_at_minus_one(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(12, max_n)
+@_rows("triangles/d-at-minus-one", 1, 12, "d_n(-1) = -(n-1)")
+def check_d_at_minus_one(hi: int):
     seq = families.polyseq("dpoly", hi)
     for n in range(1, hi + 1):
-        if seq.poly(n).evaluate(-1) != -(n - 1):
-            return False, f"d_n(-1) fails at n={n}"
-    return _passed(1, hi, "d_n(-1) = -(n-1)")
+        yield n, seq.poly(n).evaluate(-1), -(n - 1)
 
 
-def check_gamma_diagonal(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(12, max_n)
+@_rows("triangles/gamma-diagonal", 1, 12, "gamma_(n+1,n+1) = (-1)^n (2n-1)!!")
+def check_gamma_diagonal(hi: int):
     tri = families.triangle("gamma", hi + 1)
-    dfact = 1  # (2n-1)!!
     for n in range(1, hi + 1):
-        if n > 1:
-            dfact *= 2 * n - 1
-        if tri.entry(n + 1, n + 1) != (-1) ** n * dfact:
-            return False, f"gamma diagonal fails at n={n}"
-    return _passed(1, hi, "gamma_(n+1,n+1) = (-1)^n (2n-1)!!")
+        yield n, tri.entry(n + 1, n + 1), (-1) ** n * prod(range(1, 2 * n, 2))
 
 
-def check_f_nonnegative(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(40, max_n)
+@_rows("triangles/f-nonnegative", 0, 40, "all f entries nonnegative")
+def check_f_nonnegative(hi: int):
+    """The negative entries of each f row: none."""
     tri = families.triangle("f", hi)
     for n in range(hi + 1):
-        if any(v < 0 for v in tri.row(n)):
-            return False, f"negative entry in f row {n}"
-    return _passed(0, hi, "all f entries nonnegative")
+        yield n, [v for v in tri.row(n) if v < 0], []
 
 
-def check_b_two_routes(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(12, max_n)
+@_rows("triangles/b-two-routes", 0, 12, "triangle assembly equals b recurrence")
+def check_b_two_routes(hi: int):
     tri = families.triangle("b", hi)
     seq = families.polyseq("bpoly", hi)
-    one_x = Poly([1, 1])
     for n in range(hi + 1):
-        assembled = Poly.zero()
-        for k, v in enumerate(tri.row(n)):
-            assembled = assembled + Fraction(v, 2**k) * Poly.from_terms(
-                {k: 1}
-            ) * one_x ** (n - k)
-        if assembled != seq.poly(n):
-            return False, f"b_n routes disagree at n={n}"
-    return _passed(0, hi, "triangle assembly equals b recurrence")
+        assembled = sum(
+            (
+                Fraction(v, 2**k) * Poly.from_terms({k: 1}) * Poly([1, 1]) ** (n - k)
+                for k, v in enumerate(tri.row(n))
+            ),
+            Poly.zero(),
+        )
+        yield n, assembled, seq.poly(n)
 
 
-def check_c_from_b(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(12, max_n)
-    from .polys import divide_exact
-
+@_rows("triangles/c-from-b", 1, 12, "c_n = x b_n / (1+x)")
+def check_c_from_b(hi: int):
     bseq = families.polyseq("bpoly", hi)
     cseq = families.polyseq("cpoly", hi)
-    one_x = Poly([1, 1])
     for n in range(1, hi + 1):
-        quotient = divide_exact(Poly.x() * bseq.poly(n), one_x)
-        if quotient != cseq.poly(n):
-            return False, f"c_n = x b_n/(1+x) fails at n={n}"
-    return _passed(1, hi, "c_n = x b_n / (1+x)")
+        yield n, divide_exact(Poly.x() * bseq.poly(n), Poly([1, 1])), cseq.poly(n)
 
 
-def check_F_two_reassemblies(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(12, max_n)
+@_rows("triangles/F-two-reassemblies", 1, 12, "gamma and f reassemblies both give F_n")
+def check_F_two_reassemblies(hi: int):
     g_tri = families.triangle("gamma", hi)
     f_tri = families.triangle("f", hi)
     seq = families.polyseq("Fpoly", hi)
-    one_x = Poly([1, 1])
-    one_x2 = Poly([1, 0, 1])
+    one_x, one_x2 = Poly([1, 1]), Poly([1, 0, 1])
     for n in range(1, hi + 1):
-        via_gamma = Poly.zero()
-        for k, v in enumerate(g_tri.row(n)):
-            via_gamma = via_gamma + v * Poly.from_terms({k: 1}) * one_x ** (
-                2 * n - 2 * k
-            )
-        via_f = Poly.zero()
-        for k, v in enumerate(f_tri.row(n)):
-            via_f = via_f + v * Poly.from_terms({k: 1}) * one_x2 ** (n - k)
-        if via_gamma != seq.poly(n) or via_f != seq.poly(n):
-            return False, f"F reassembly fails at n={n}"
-    return _passed(1, hi, "gamma and f reassemblies both give F_n")
+        via_gamma = sum(
+            (v * Poly.from_terms({k: 1}) * one_x ** (2 * n - 2 * k) for k, v in enumerate(g_tri.row(n))),
+            Poly.zero(),
+        )
+        via_f = sum(
+            (v * Poly.from_terms({k: 1}) * one_x2 ** (n - k) for k, v in enumerate(f_tri.row(n))),
+            Poly.zero(),
+        )
+        yield n, via_gamma, seq.poly(n)
+        yield n, via_f, seq.poly(n)
 
 
 # ---------------------------------------------------------------------------
@@ -553,43 +449,36 @@ def _b_row_form(n: int) -> gammalab.GammaForm:
     return gammalab.GammaForm(n, families.triangle("b", n).row(n))
 
 
-def _certificate_samples(n_poly: Poly, n: int, delta: int) -> list[Fraction]:
+def _certified(m_poly: Poly, n_poly: Poly, n: int, delta: int) -> bool:
+    """The surd identity for (M, N), at the sample count its degree bound needs."""
     count = gammalab.certificate_sample_count(n_poly.degree, n, delta)
-    return gammalab.default_samples(count)
+    return gammalab.david_barton_identity_check(
+        m_poly, n_poly, n, delta, gammalab.default_samples(count)
+    )
 
 
-def check_davidbarton_A_R(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(10, max_n)
+@_rows("davidbarton/A-R-certificate", 2, 10, "(A_n, R_n, delta=1) certified")
+def check_davidbarton_A_R(hi: int):
     r_tri = families.triangle("R", hi)
     for n in range(2, hi + 1):
         r_n = r_tri.row_poly(n)
-        assembled = gammalab.david_barton_assemble(_a_row_form(n), n, 1)
-        if assembled != r_n:
-            return False, f"weighted assembly misses R_{n}"
-        a_n = families.eulerian(n, "A")
-        samples = _certificate_samples(r_n, n, 1)
-        if not gammalab.david_barton_identity_check(a_n, r_n, n, 1, samples):
-            return False, f"surd identity fails for (A_{n}, R_{n})"
-    return _passed(2, hi, "(A_n, R_n, delta=1) certified")
+        yield n, gammalab.david_barton_assemble(_a_row_form(n), n, 1), r_n
+        yield n, _certified(families.eulerian(n, "A"), r_n, n, 1), True
 
 
-def check_davidbarton_B_b(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(10, max_n)
+@_rows("davidbarton/B-b-certificate", 1, 10, "(B_n, b_n, delta=0) certified")
+def check_davidbarton_B_b(hi: int):
     bseq = families.polyseq("bpoly", hi)
     for n in range(1, hi + 1):
         b_n = bseq.poly(n)
-        assembled = gammalab.david_barton_assemble(_b_row_form(n), n, 0)
-        if assembled != b_n:
-            return False, f"weighted assembly misses b_{n}"
-        big_b = families.eulerian(n, "B")
-        samples = _certificate_samples(b_n, n, 0)
-        if not gammalab.david_barton_identity_check(big_b, b_n, n, 0, samples):
-            return False, f"surd identity fails for (B_{n}, b_{n})"
-    return _passed(1, hi, "(B_n, b_n, delta=0) certified")
+        yield n, gammalab.david_barton_assemble(_b_row_form(n), n, 0), b_n
+        yield n, _certified(families.eulerian(n, "B"), b_n, n, 0), True
 
 
-def check_davidbarton_mutation(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(10, max_n)
+@_rows("davidbarton/mutation-sensitivity", 2, 10, "every single-entry mutation is caught")
+def check_davidbarton_mutation(hi: int):
+    """Bumping any one gamma entry of A_n must move the assembly off R_n and
+    break the surd identity against the true A_n."""
     r_tri = families.triangle("R", hi)
     for n in range(2, hi + 1):
         r_n = r_tri.row_poly(n)
@@ -600,17 +489,10 @@ def check_davidbarton_mutation(max_n: int | None = None) -> tuple[bool, str]:
             mutated = gammalab.david_barton_assemble(
                 gammalab.GammaForm(form.base_degree, tuple(bumped)), n, 1
             )
-            # translate the mutated assembly back through the surd identity:
-            # it must no longer certify against the true Eulerian polynomial
-            if mutated == r_n:
-                return False, f"mutation (n={n}, k={k}) left the assembly fixed"
-            a_n = families.eulerian(n, "A")
+            yield n, mutated != r_n, True
             # sized for the mutated side: too few samples would reject the
             # pair without evaluating it, and the check would pass vacuously
-            samples = _certificate_samples(mutated, n, 1)
-            if gammalab.david_barton_identity_check(a_n, mutated, n, 1, samples):
-                return False, f"mutated pair still certifies at (n={n}, k={k})"
-    return _passed(2, hi, "every single-entry mutation is caught")
+            yield n, _certified(families.eulerian(n, "A"), mutated, n, 1), False
 
 
 # ---------------------------------------------------------------------------
@@ -624,47 +506,61 @@ def _report_check(report: serieslab.IdentityReport) -> tuple[bool, str]:
     return False, f"{report.identity}: {report.first_mismatch}"
 
 
-def check_series_T(order: int = 12, **_) -> tuple[bool, str]:
-    return _report_check(serieslab.check_egf_T(order))
+def _series(check_id: str, reports: Callable, default: int = 12, summary: str | None = None,
+            cap: int | None = None) -> Callable:
+    """Register `reports(order)` (serieslab identity reports) as an order check.
+
+    The first failing report fails the check.  A pass is described by
+    `summary` (formatted with the order), or else by the last report.
+    """
+
+    def check(order: int = default, **_) -> tuple[bool, str]:
+        if cap is not None:
+            order = min(order, cap)
+        for report in reports(order):
+            if not report.ok:
+                return _report_check(report)
+        return (True, summary.format(order)) if summary else _report_check(report)
+
+    return _register(check_id, "order")(check)
 
 
-def check_series_carlitz(order: int = 12, **_) -> tuple[bool, str]:
-    return _report_check(serieslab.check_egf_carlitz(order))
+def _F_dual_reports(order: int):
+    for x0 in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)):
+        yield serieslab.check_F_dual_at(x0, order)
+    yield serieslab.check_F_dual_certificate(order)
 
 
-def check_series_Rq(order: int = 12, **_) -> tuple[bool, str]:
-    for q0 in (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)):
-        report = serieslab.check_egf_Rq(q0, order)
-        if not report.ok:
-            return _report_check(report)
-    return True, f"T^q matches the q-triangle for q in (1, 2, 3, 1/2), order {order}"
+_Q3 = (Fraction(1), Fraction(2), Fraction(1, 2))
+_Q4 = (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2))
+
+check_series_T = _series("series/egf-T", lambda order: [serieslab.check_egf_T(order)])
+check_series_carlitz = _series(
+    "series/egf-carlitz", lambda order: [serieslab.check_egf_carlitz(order)]
+)
+check_series_Rq = _series(
+    "series/egf-Rq", lambda order: (serieslab.check_egf_Rq(q0, order) for q0 in _Q4),
+    summary="T^q matches the q-triangle for q in (1, 2, 3, 1/2), order {}",
+)
+check_series_f = _series("series/egf-f", lambda order: [serieslab.check_egf_f(order)])
+check_series_derangement = _series(
+    "series/derangement", lambda order: [serieslab.check_derangement_egf(order)]
+)
+check_series_parity = _series(
+    "series/parity", lambda order: (serieslab.check_parity_symmetry(q0, order) for q0 in _Q3),
+    default=10, summary="series-level parity symmetry for q in (1, 2, 1/2), order {}",
+)
+check_series_inclusion_exclusion = _series(
+    "series/inclusion-exclusion",
+    lambda order: (serieslab.check_inclusion_exclusion(q0, order) for q0 in _Q3),
+    default=8, summary="inclusion-exclusion EGF for q in (1, 2, 1/2), order {}", cap=8,
+)
+check_series_f_diag = _series("series/f-diagonal", lambda order: [serieslab.check_f_diagonal(order)])
+check_series_d_diag = _series("series/d-diagonal", lambda order: [serieslab.check_d_diagonal(order)])
+check_series_F_dual = _series("series/F-dual", _F_dual_reports)
 
 
-def check_series_f(order: int = 12, **_) -> tuple[bool, str]:
-    return _report_check(serieslab.check_egf_f(order))
-
-
-def check_series_derangement(order: int = 12, **_) -> tuple[bool, str]:
-    return _report_check(serieslab.check_derangement_egf(order))
-
-
-def check_series_parity(order: int = 10, **_) -> tuple[bool, str]:
-    for q0 in (Fraction(1), Fraction(2), Fraction(1, 2)):
-        report = serieslab.check_parity_symmetry(q0, order)
-        if not report.ok:
-            return _report_check(report)
-    return True, f"series-level parity symmetry for q in (1, 2, 1/2), order {order}"
-
-
-def check_series_inclusion_exclusion(order: int = 8, **_) -> tuple[bool, str]:
-    order = min(order, 8)
-    for q0 in (Fraction(1), Fraction(2), Fraction(1, 2)):
-        report = serieslab.check_inclusion_exclusion(q0, order)
-        if not report.ok:
-            return _report_check(report)
-    return True, f"inclusion-exclusion EGF for q in (1, 2, 1/2), order {order}"
-
-
+@_register("series/pde", "order")
 def check_series_pde(order: int = 12, **_) -> tuple[bool, str]:
     if not serieslab.pde_check(order):
         return False, "PDE fails on the true triangle"
@@ -673,22 +569,7 @@ def check_series_pde(order: int = 12, **_) -> tuple[bool, str]:
     return True, f"PDE holds through order {order} and rejects a mutated entry"
 
 
-def check_series_f_diag(order: int = 12, **_) -> tuple[bool, str]:
-    return _report_check(serieslab.check_f_diagonal(order))
-
-
-def check_series_d_diag(order: int = 12, **_) -> tuple[bool, str]:
-    return _report_check(serieslab.check_d_diagonal(order))
-
-
-def check_series_F_dual(order: int = 12, **_) -> tuple[bool, str]:
-    for x0 in (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)):
-        report = serieslab.check_F_dual_at(x0, order)
-        if not report.ok:
-            return _report_check(report)
-    return _report_check(serieslab.check_F_dual_certificate(order))
-
-
+@_register("series/theta", "order")
 def check_series_theta(order: int = 10, **_) -> tuple[bool, str]:
     hi = min(order, 10)
     if not serieslab.theta_check(hi):
@@ -701,23 +582,18 @@ def check_series_theta(order: int = 10, **_) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def check_gamma_roundtrip(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(12, max_n)
-    cases = []
+@_rows("gamma/roundtrip", 1, 12, "round trips on A_n, B_n, F_n")
+def check_gamma_roundtrip(hi: int):
+    """Gamma and semi-gamma expansions of A_n, B_n, F_n reassemble to them."""
+    f_seq = families.polyseq("Fpoly", hi)
     for n in range(1, hi + 1):
-        cases.append((families.eulerian(n, "A"), 1, n))
-        cases.append((families.eulerian(n, "B"), 0, n))
-        cases.append((families.polyseq("Fpoly", hi).poly(n), 1, 2 * n - 1))
-    for p, low, high in cases:
-        g = gammalab.gamma_expand(p, low, high)
-        if g.reassemble().shift(low) != p:
-            return False, f"gamma round trip fails on {p}"
-        s = gammalab.semi_gamma_expand(p, low, high)
-        if s.reassemble().shift(low) != p:
-            return False, f"semi-gamma round trip fails on {p}"
-    return _passed(1, hi, "round trips on A_n, B_n, F_n")
+        cases = ((families.eulerian(n, "A"), 1, n), (families.eulerian(n, "B"), 0, n), (f_seq.poly(n), 1, 2 * n - 1))
+        for p, low, high in cases:
+            yield n, gammalab.gamma_expand(p, low, high).reassemble().shift(low), p
+            yield n, gammalab.semi_gamma_expand(p, low, high).reassemble().shift(low), p
 
 
+@_register("gamma/lambda-vs-semigamma")
 def check_gamma_to_lambda_random(
     count: int = 200, max_degree: int = 16, **_
 ) -> tuple[bool, str]:
@@ -738,127 +614,59 @@ def check_gamma_to_lambda_random(
     return True, f"gamma_to_lambda == semi_gamma_expand on {count} random polynomials"
 
 
-def check_gamma_positivity_propagation(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(12, max_n)
+@_rows("gamma/positivity-propagation", 1, 12, "gamma-positive rows give nonnegative lambdas")
+def check_gamma_positivity_propagation(hi: int):
     for n in range(1, hi + 1):
         for form in (_a_row_form(n), _b_row_form(n)):
-            lam = gammalab.gamma_to_lambda(form)
-            if not form.is_positive() or not lam.is_positive():
-                return False, f"positivity propagation fails at n={n}"
-    return _passed(1, hi, "gamma-positive rows give nonnegative lambdas")
+            yield n, (form.is_positive(), gammalab.gamma_to_lambda(form).is_positive()), (True, True)
 
 
-def check_split_halves_gamma_positive(max_n: int | None = None) -> tuple[bool, str]:
-    hi = _cap(12, max_n)
+@_rows("gamma/split-halves", 1, 12, "both split halves are gamma-positive")
+def check_split_halves_gamma_positive(hi: int):
+    """Both halves of F_n/x are gamma-positive, and the even half's gammas
+    interleave the semi-gamma lambdas."""
     seq = families.polyseq("Fpoly", hi)
     for n in range(1, hi + 1):
         core = Poly(seq.poly(n).coeffs[1:])  # F_n / x
         semi = gammalab.semi_gamma_expand(core, 0, 2 * n - 2)
         g1, g2 = gammalab.split_even_odd(core, semi.nu)
         form1 = gammalab.gamma_expand(g1, 0, n - 1)
-        if not form1.is_positive():
-            return False, f"even half not gamma-positive at n={n}"
+        yield n, form1.is_positive(), True
         if n >= 2:
-            form2 = gammalab.gamma_expand(g2, 0, n - 2)
-            if not form2.is_positive():
-                return False, f"odd half not gamma-positive at n={n}"
-        # the halves' gamma vectors interleave the semi-gamma lambdas
-        if form1.gammas != semi.lambdas[0::2]:
-            return False, f"even-half gammas differ from lambda[0::2] at n={n}"
-    return _passed(1, hi, "both split halves are gamma-positive")
+            yield n, gammalab.gamma_expand(g2, 0, n - 2).is_positive(), True
+        yield n, form1.gammas, semi.lambdas[0::2]
 
 
 # ---------------------------------------------------------------------------
-# suite registry
+# running suites
 # ---------------------------------------------------------------------------
-
-_CHECKS: dict[str, list[tuple[str, Callable]]] = {
-    "enumeration": [
-        ("enumeration/altrun-vs-R", check_altrun_vs_R),
-        ("enumeration/udrun-vs-T", check_udrun_vs_T),
-        ("enumeration/crun-cyc-vs-Rq", check_crun_cyc_vs_Rq),
-        ("enumeration/derangement-crun-vs-d", check_derangement_crun_vs_d),
-        ("enumeration/stirling-fap-vs-F", check_stirling_fap_vs_F),
-        ("enumeration/dual-stirling-altrun-vs-F", check_dual_stirling_altrun_vs_F),
-        ("enumeration/signed-desB-vs-B", check_signed_desB_vs_B),
-        ("enumeration/signed-hat-altrunB-vs-c", check_signed_hat_altrunB_vs_c),
-    ],
-    "grammar": [
-        ("grammar/updown", check_updown_grammar),
-        ("grammar/doubled", check_doubled_grammar),
-        ("grammar/qrun-triangle", check_qrun_triangle),
-        ("grammar/qrun-recurrence", check_qrun_recurrence),
-        ("grammar/plateau-F-triangle", check_plateau_triangle),
-        ("grammar/gamma-triangle", check_gammavec_triangle),
-        ("grammar/halfgamma-f-triangle", check_halfgamma_triangle),
-        ("grammar/gamma-substitution", check_gammavec_substitution),
-        ("grammar/halfgamma-substitution", check_halfgamma_substitution),
-        ("grammar/qrun-halfgamma-morphism", check_qrun_to_halfgamma_morphism),
-        ("grammar/extraction-convolution", check_extraction_convolution),
-    ],
-    "triangles": [
-        ("triangles/row-sums", check_row_sums),
-        ("triangles/T-from-R", check_T_from_R),
-        ("triangles/root-multiplicity", check_root_multiplicity),
-        ("triangles/Rq-parity", check_Rq_parity),
-        ("triangles/d-at-minus-one", check_d_at_minus_one),
-        ("triangles/gamma-diagonal", check_gamma_diagonal),
-        ("triangles/f-nonnegative", check_f_nonnegative),
-        ("triangles/b-two-routes", check_b_two_routes),
-        ("triangles/c-from-b", check_c_from_b),
-        ("triangles/F-two-reassemblies", check_F_two_reassemblies),
-        ("triangles/leibniz-convolution", check_leibniz_convolution),
-    ],
-    "davidbarton": [
-        ("davidbarton/A-R-certificate", check_davidbarton_A_R),
-        ("davidbarton/B-b-certificate", check_davidbarton_B_b),
-        ("davidbarton/mutation-sensitivity", check_davidbarton_mutation),
-    ],
-    "series": [
-        ("series/egf-T", check_series_T),
-        ("series/egf-carlitz", check_series_carlitz),
-        ("series/egf-Rq", check_series_Rq),
-        ("series/egf-f", check_series_f),
-        ("series/derangement", check_series_derangement),
-        ("series/parity", check_series_parity),
-        ("series/inclusion-exclusion", check_series_inclusion_exclusion),
-        ("series/pde", check_series_pde),
-        ("series/f-diagonal", check_series_f_diag),
-        ("series/d-diagonal", check_series_d_diag),
-        ("series/F-dual", check_series_F_dual),
-        ("series/theta", check_series_theta),
-    ],
-    "gamma": [
-        ("gamma/roundtrip", check_gamma_roundtrip),
-        ("gamma/lambda-vs-semigamma", check_gamma_to_lambda_random),
-        ("gamma/positivity-propagation", check_gamma_positivity_propagation),
-        ("gamma/split-halves", check_split_halves_gamma_positive),
-    ],
-}
-
-_SERIES_CHECKS = {check_id for check_id, _ in _CHECKS["series"]}
 
 
 def run_suite(
     suite: str, max_n: int | None = None, order: int | None = None
 ) -> VerifyReport:
-    """Run one suite (or "all"); results are sorted by check id."""
-    if suite == "all":
-        names = list(_CHECKS)
-    elif suite in _CHECKS:
-        names = [suite]
-    else:
+    """Run one suite (or "all"); results are sorted by check id.
+
+    A check that raises is reported as failing, with the exception's type
+    and message, and the other checks still run.  Only the enumeration
+    budget (`SizeLimit`) aborts the report.
+    """
+    if suite != "all" and suite not in _CHECKS:
         raise ValueError(f"unknown suite {suite!r}")
+    values = {"max_n": max_n, "order": order}
     report = VerifyReport(suite)
-    for name in names:
-        for check_id, fn in _CHECKS[name]:
-            if check_id in _SERIES_CHECKS:
-                kwargs = {} if order is None else {"order": order}
-                params = {"order": order}
-            else:
-                kwargs = {"max_n": max_n}
-                params = {"max_n": max_n}
-            ok, detail = fn(**kwargs)
-            report.checks.append(CheckResult(check_id, params, ok, detail))
+    for name, entries in _CHECKS.items():
+        if suite not in ("all", name):
+            continue
+        for check_id, fn in entries:
+            arg = getattr(fn, "arg", "max_n")
+            value = values[arg]
+            try:
+                ok, detail = fn(**({} if value is None else {arg: value}))
+            except SizeLimit:
+                raise
+            except Exception as exc:  # one failing check must not end the report
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
+            report.checks.append(CheckResult(check_id, {arg: value}, ok, detail))
     report.checks.sort(key=lambda c: c.check_id)
     return report

@@ -127,3 +127,31 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "gamma")
     assert code == 1
     assert json.loads(out)["overall"] is False
+
+
+def test_verify_bad_parameter_fails_its_checks_only(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-n", "0")
+    report = json.loads(out)
+    assert code == 1
+    assert len(report["checks"]) == 49
+    failed = {c["check_id"]: c["detail"] for c in report["checks"] if not c["pass"]}
+    assert failed["triangles/row-sums"] == "ValueError: family 'R' starts at row 1"
+    assert failed["triangles/c-from-b"] == "ValueError: family 'cpoly' starts at index 1"
+    assert all(
+        d.startswith(("ValueError: family", "empty range n=1..0")) for d in failed.values()
+    )
+
+    code, out, _ = run_cli(capsys, "verify", "--order", "1")
+    report = json.loads(out)
+    assert code == 1
+    assert len(report["checks"]) == 49
+    failed = {c["check_id"]: c["detail"] for c in report["checks"] if not c["pass"]}
+    assert failed == {"series/pde": "ValueError: order must be at least 2"}
+
+
+def test_verify_budget_still_exit_3(capsys, monkeypatch):
+    monkeypatch.setenv("ALTRUN_BUDGET", "100")
+    code, out, err = run_cli(capsys, "verify", "--suite", "enumeration")
+    assert code == 3
+    assert out == ""
+    assert "budget" in err

@@ -9,12 +9,13 @@ from the current tree (only when an output change is intended):
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from altrun import families
+from altrun import families, verify
 from altrun.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -45,6 +46,21 @@ def test_cli_output_matches_golden(name):
     code, out = run_capture(CASES[name])
     assert code == 0
     assert out == (GOLDEN_DIR / name).read_bytes()
+
+
+@pytest.mark.parametrize("suite", verify.SUITES)
+def test_verify_suite_matches_its_part_of_the_golden_report(suite):
+    """`verify --suite S` prints the S/ checks of the stored `--suite all` report."""
+    full = json.loads((GOLDEN_DIR / "verify-all-n7-o10.json").read_text())
+    checks = [c for c in full["checks"] if c["check_id"].startswith(suite + "/")]
+    assert checks
+    expected = json.dumps(
+        {"suite": suite, "checks": checks, "overall": all(c["pass"] for c in checks)},
+        indent=2,
+    )
+    code, out = run_capture(["verify", "--suite", suite, "--max-n", "7", "--order", "10"])
+    assert code == 0
+    assert out == (expected + "\n").encode("utf-8")
 
 
 if __name__ == "__main__":

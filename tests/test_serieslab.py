@@ -136,12 +136,10 @@ def test_derangement_egf():
 
 
 def test_specialized_identity_dispatch():
-    assert sl.egf_specialized_identities("derangement", {}, 8).ok
-    assert sl.egf_specialized_identities("f_diag", {}, 8).ok
-    assert sl.egf_specialized_identities("d_diag", {}, 8).ok
-    assert sl.egf_specialized_identities("F_dual", {"x0": F(1, 2)}, 6).ok
-    with pytest.raises(ValueError):
-        sl.egf_specialized_identities("nope", {}, 3)
+    assert sl.check_derangement_egf(8).ok
+    assert sl.check_f_diagonal(8).ok
+    assert sl.check_d_diagonal(8).ok
+    assert sl.check_F_dual_at(F(1, 2), 6).ok
 
 
 def test_f_diag_values():
