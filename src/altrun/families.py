@@ -42,6 +42,7 @@ Entry = int | Poly
 
 _Q = Poly.x()  # the q indeterminate for Rq entries
 _ONE_X = Poly([1, 1])  # 1 + x
+_ONE_X_SQ = Poly([1, 2, 1])  # (1 + x)^2
 
 
 @dataclass(frozen=True)
@@ -282,30 +283,22 @@ def _step_Fpoly(n: int, prev: list[Poly]) -> Poly:
 
 
 def eulerian(n: int, kind: str) -> Poly:
-    """Type A or B Eulerian polynomial assembled from its gamma expansion."""
-    if kind == "A":
-        if n < 1:
-            raise ValueError("type A defined for n >= 1")
-        row = triangle("a", n).row(n)
-        return sum(
-            (
-                int(row[k]) * Poly.from_terms({k: 1}) * _ONE_X ** (n + 1 - 2 * k)
-                for k in range(1, len(row))
-            ),
-            Poly.zero(),
-        )
-    if kind == "B":
-        if n < 1:
-            raise ValueError("type B defined for n >= 1")
-        row = triangle("b", n).row(n)
-        return sum(
-            (
-                int(row[k]) * Poly.from_terms({k: 1}) * _ONE_X ** (n - 2 * k)
-                for k in range(len(row))
-            ),
-            Poly.zero(),
-        )
-    raise UnknownFamily(f"eulerian kind must be 'A' or 'B', got {kind!r}")
+    """Type A or B Eulerian polynomial assembled from its gamma expansion.
+
+    A_n = sum_k a(n,k) x^k (1+x)^(n+1-2k) and B_n = sum_k b(n,k) x^k (1+x)^(n-2k)
+    for k = 0..K, summed by Horner's rule in (1+x)^2 and then multiplied by
+    the leftover (1+x)^(n+1-2K) or (1+x)^(n-2K), of degree 0 or 1.
+    """
+    if kind not in ("A", "B"):
+        raise UnknownFamily(f"eulerian kind must be 'A' or 'B', got {kind!r}")
+    if n < 1:
+        raise ValueError(f"type {kind} defined for n >= 1")
+    top = n + 1 if kind == "A" else n
+    row = triangle(kind.lower(), n).row(n)
+    acc = Poly.zero()
+    for k, gamma in enumerate(row):
+        acc = acc * _ONE_X_SQ + Poly.from_terms({k: gamma})
+    return acc * _ONE_X ** (top - 2 * (len(row) - 1))
 
 
 @dataclass(frozen=True)

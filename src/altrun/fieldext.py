@@ -167,9 +167,6 @@ class QuadExt:
     def scalar(cls, value, disc) -> QuadExt:
         return cls(value, 0, disc)
 
-    def is_scalar(self) -> bool:
-        return self.rad.is_zero()
-
     def is_zero(self) -> bool:
         return self.base.is_zero() and self.rad.is_zero()
 

@@ -93,11 +93,6 @@ class MultiPoly:
     def constant_term(self) -> Scalar:
         return self.coefficient((0,) * len(self.alphabet))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def degree_in(self, name: str) -> int:
         slot = self._slot(name)
         if not self.terms:

@@ -574,7 +574,7 @@ def check_series_theta(order: int = 10, **_) -> tuple[bool, str]:
     hi = min(order, 10)
     if not serieslab.theta_check(hi):
         return False, "theta-operator identity fails"
-    return True, f"theta^n r = r F_n/(1-x^2)^n for n=0..{hi}"
+    return _passed(0, hi, "theta^n r = r F_n/(1-x^2)^n")
 
 
 # ---------------------------------------------------------------------------

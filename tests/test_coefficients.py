@@ -8,7 +8,7 @@ import pytest
 from altrun.grammar import extract_row
 from altrun.multipoly import MultiPoly
 from altrun.polys import Poly, exact, exact_div, poly_gcd
-from altrun.serieslab import MultiPolyDomain, PolyDomain
+from altrun.serieslab import Series
 
 
 def assert_policy(values):
@@ -56,14 +56,12 @@ def test_true_division_never_gives_float():
     assert_policy(poly_gcd(Poly([2, 3]), Poly([4, 5])).coeffs)
 
 
-def test_domain_inverses_never_give_float():
-    inv = PolyDomain().invert(Poly([2]))
-    assert inv == Poly([Fraction(1, 2)])
-    assert_policy(inv.coeffs)
-    dom = MultiPolyDomain(("x", "y"))
-    inv = dom.invert(MultiPoly.constant(("x", "y"), 2))
-    assert inv == MultiPoly.constant(("x", "y"), Fraction(1, 2))
-    assert_policy(inv.terms.values())
+def test_int_series_divide_to_fractions():
+    num, den = Series.make([1, 1, 0, 5], 3), Series.make([2, 3, 4, 6], 3)
+    quot = num / den
+    assert all(type(c) is Fraction for c in quot.coeffs + (1 / den).coeffs)
+    assert quot.coeffs[:2] == (Fraction(1, 2), Fraction(-1, 4))
+    assert (quot * den).coeffs == num.coeffs
 
 
 def test_extract_row_with_seed_coefficient_two():

@@ -23,6 +23,13 @@ def test_empty_range_fails_closed():
     assert report.overall is False
 
 
+def test_theta_empty_range_fails_closed():
+    report = verify.run_suite("series", order=-1)
+    theta = next(c for c in report.checks if c.check_id == "series/theta")
+    assert not theta.ok
+    assert theta.detail.startswith("empty range n=0..-1")
+
+
 # Checks that fail when entry k=1 of row 4 of one family is bumped by one,
 # at max_n=5, order=6: exactly the checks that compare that row by a second
 # route.  A registry row that stops comparing drops out of its set.
