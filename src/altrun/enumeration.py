@@ -9,17 +9,29 @@ Classes of objects (all streamed in lexicographic order of the printed word):
     stirling       words over {1,1,...,n,n} with the nesting condition
     dual_stirling  images of Stirling words under the doubling map
 
+Every stream is valid by construction: the Stirling generator only ever
+closes the innermost open pair or opens a value above it, and once at most
+one value is left to open it writes the remaining completions out directly,
+still in lexicographic order.  The dual Stirling stream is the same walk
+writing 2j when it opens j and 2j-1 when it closes j, so no word is checked
+again; `dual_map` validates its argument because it takes outside input.
+
 Statistics are plain functions on tuples; `stat` dispatches by class name and
 `distribution` folds a statistic tuple into an exact polynomial.  These
-distributions are the brute-force oracle for the recurrence triangles.
+distributions are the brute-force oracle for the recurrence triangles.  The
+cycle statistics `crun` and `cycle_count` walk each cycle once instead of
+building the standard decomposition, which `cycle_canonical`,
+`crun_of_cycles` and `cycle_runs` still define.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from fractions import Fraction
+from bisect import bisect_left
+from collections import Counter
 from itertools import permutations
+from operator import eq, gt, lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidStirlingWord, SizeLimit, StatClassMismatch
@@ -109,37 +121,53 @@ def _signed_words(n: int, first_positive: bool) -> Iterator[Word]:
     return rec()
 
 
-def _stirling_words(n: int) -> Iterator[Word]:
+def _stirling_words(n: int, double: bool = False) -> Iterator[Word]:
     # Open values nest (LIFO): a value opened inside the pair of t must
     # exceed t, so the smallest legal next letter is always "close the top",
-    # then unused values above the top in increasing order.
+    # then unused values above the top in increasing order.  With `double`
+    # the walk writes the dual Stirling word: 2j opens j and 2j-1 closes it,
+    # which keeps the order, since both letters of a smaller value are
+    # smaller than both letters of a larger one.
+    opens = [2 * v if double else v for v in range(n + 1)]
+    closes = [2 * v - 1 if double else v for v in range(n + 1)]
     word: list[int] = []
     stack: list[int] = []
     used = [False] * (n + 1)
 
-    def rec() -> Iterator[Word]:
-        if len(word) == 2 * n:
-            yield tuple(word)
+    def rec(unopened: int) -> Iterator[Word]:
+        if unopened <= 1:
+            # The rest is forced but for where the last value u opens: after
+            # closing k stack entries, with every entry above u closed.  More
+            # closes first is the smaller letter, so k runs downwards.
+            rest = [closes[v] for v in reversed(stack)]
+            if not unopened:
+                yield (*word, *rest)
+                return
+            u = used.index(False, 1)
+            pair = (opens[u], closes[u])
+            above = len(stack) - bisect_left(stack, u)
+            for k in range(len(stack), above - 1, -1):
+                yield (*word, *rest[:k], *pair, *rest[k:])
             return
         top = stack[-1] if stack else 0
         if stack:
-            word.append(top)
-            closed = stack.pop()
-            yield from rec()
-            stack.append(closed)
+            word.append(closes[top])
+            stack.pop()
+            yield from rec(unopened)
+            stack.append(top)
             word.pop()
         for v in range(top + 1, n + 1):
             if used[v]:
                 continue
             used[v] = True
             stack.append(v)
-            word.append(v)
-            yield from rec()
+            word.append(opens[v])
+            yield from rec(unopened - 1)
             word.pop()
             stack.pop()
             used[v] = False
 
-    return rec()
+    return rec(n)
 
 
 def generate(kind: str, n: int) -> Iterator[Word]:
@@ -154,17 +182,12 @@ def generate(kind: str, n: int) -> Iterator[Word]:
     if kind == "signed_hat":
         return _signed_words(n, first_positive=True)
     if kind == "derangement":
-        return (
-            w for w in permutations(range(1, n + 1))
-            if all(w[i] != i + 1 for i in range(n))
-        )
+        values = tuple(range(1, n + 1))
+        return (w for w in permutations(values) if not any(map(eq, w, values)))
     if kind == "stirling":
         return _stirling_words(n)
     if kind == "dual_stirling":
-        # The doubling map is lex-order-preserving: equal prefixes map to
-        # equal prefixes, and both images of a smaller letter are smaller
-        # than both images of a larger one.
-        return (dual_map(w) for w in _stirling_words(n))
+        return _stirling_words(n, double=True)
     raise ValueError(f"unknown class {kind!r}")
 
 
@@ -178,14 +201,21 @@ def _runs(word: Sequence[float]) -> int:
     if len(word) < 2:
         return 0
     count = 1
-    prev_dir = 0
-    for a, b in zip(word, word[1:]):
-        if a == b:
+    letters = iter(word)
+    prev = next(letters)
+    up = word[1] > prev
+    for cur in letters:
+        if cur > prev:
+            if not up:
+                count += 1
+                up = True
+        elif cur < prev:
+            if up:
+                count += 1
+                up = False
+        else:
             raise ValueError("runs undefined for words with equal neighbours")
-        direction = 1 if b > a else -1
-        if prev_dir and direction != prev_dir:
-            count += 1
-        prev_dir = direction
+        prev = cur
     return count
 
 
@@ -208,7 +238,7 @@ def udrun(word: Sequence[int]) -> int:
 
 
 def descents(word: Sequence[int]) -> int:
-    return sum(1 for a, b in zip(word, word[1:]) if a > b)
+    return sum(map(gt, word, word[1:]))
 
 
 def longest_alternating_subsequence(word: Sequence[int]) -> int:
@@ -316,14 +346,46 @@ def crun_of_cycles(cycles: Iterable[Sequence[int]]) -> int:
 def crun(word: Sequence[int]) -> int:
     """Cycle-run statistic: total cycle runs over the standard decomposition.
 
+    Equal to `crun_of_cycles(cycle_canonical(word))`, in one walk along each
+    cycle from its minimum: a cycle opens one run, each change of direction
+    opens another, and so does the appended infinity after a descent.
+
     >>> crun((3, 1, 2))
     3
     """
-    return crun_of_cycles(cycle_canonical(word))
+    seen = [False] * (len(word) + 1)
+    total = 0
+    for start in range(1, len(word) + 1):
+        if seen[start]:
+            continue
+        total += 1
+        up = True  # the first step leaves the minimum upwards
+        prev = start
+        v = word[start - 1]
+        while v != start:
+            seen[v] = True
+            if (v > prev) != up:
+                total += 1
+                up = not up
+            prev = v
+            v = word[v - 1]
+        if not up:
+            total += 1
+    return total
 
 
 def cycle_count(word: Sequence[int]) -> int:
-    return len(cycle_canonical(word))
+    """Number of cycles, `len(cycle_canonical(word))`."""
+    seen = [False] * (len(word) + 1)
+    count = 0
+    for start in range(1, len(word) + 1):
+        if not seen[start]:
+            count += 1
+            v = start
+            while not seen[v]:
+                seen[v] = True
+                v = word[v - 1]
+    return count
 
 
 def cycle_peaks(word: Sequence[int]) -> int:
@@ -384,12 +446,21 @@ def left_ascent_plateaus(word: Sequence[int]) -> int:
 
 
 def flag_ascent_plateaus(word: Sequence[int]) -> int:
-    """fap = ap + la.
+    """fap = ap + la, where la = ap + [0 < w1 == w2] counts the one extra
+    plateau the prepended 0 can make; so fap = 2 ap + [0 < w1 == w2].
 
     >>> flag_ascent_plateaus((1, 1, 2, 2))
     3
     """
-    return ascent_plateaus(word) + left_ascent_plateaus(word)
+    if len(word) < 2:
+        return 0
+    ap = 0
+    a, b = word[0], word[1]
+    for c in word[2:]:
+        if a < b == c:
+            ap += 1
+        a, b = b, c
+    return 2 * ap + (0 < word[0] == word[1])
 
 
 def dual_map(word: Sequence[int]) -> Word:
@@ -485,11 +556,12 @@ def distribution(
             )
         fns.append(table[stat_name])
     variables = tuple(var for _, var in stats)
-    counts: dict[tuple[int, ...], int] = {}
-    for word in generate(kind, n):
-        key = tuple(fn(word) for fn in fns)
-        counts[key] = counts.get(key, 0) + 1
-    return MultiPoly(variables, {k: Fraction(v) for k, v in counts.items()})
+    words = generate(kind, n)
+    if len(fns) == 1:
+        counts = {(k,): v for k, v in Counter(map(fns[0], words)).items()}
+    else:
+        counts = Counter(tuple(fn(word) for fn in fns) for word in words)
+    return MultiPoly(variables, counts)
 
 
 def format_word(word: Sequence[int], kind: str = "perm") -> str:

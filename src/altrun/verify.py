@@ -511,12 +511,15 @@ def _series(check_id: str, reports: Callable, default: int = 12, summary: str | 
     """Register `reports(order)` (serieslab identity reports) as an order check.
 
     The first failing report fails the check.  A pass is described by
-    `summary` (formatted with the order), or else by the last report.
+    `summary` (formatted with the order), or else by the last report.  A
+    negative order is an empty range and fails before any report is built.
     """
 
     def check(order: int = default, **_) -> tuple[bool, str]:
         if cap is not None:
             order = min(order, cap)
+        if order < 0:
+            return _passed(0, order, check_id)
         for report in reports(order):
             if not report.ok:
                 return _report_check(report)

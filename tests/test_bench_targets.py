@@ -41,3 +41,23 @@ def test_traced_names_resolve(layer):
         methods = [a for a in attrs if a not in _TRACER._ARITH]
         missing = [a for a in methods if not callable(getattr(cls, a, None))]
         assert not missing, f"{modname}.{clsname} lacks methods {missing}"
+
+
+def test_distribution_streams_through_the_module_generate(monkeypatch):
+    # The tracer counts `enumeration.objects` on the module-global `generate`;
+    # a `distribution` that called a private generator would read 0 objects.
+    from altrun import enumeration
+
+    calls = []
+    real = enumeration.generate
+
+    def counting(kind, n):
+        calls.append((kind, n))
+        return real(kind, n)
+
+    monkeypatch.setattr(enumeration, "generate", counting)
+    for kind in enumeration.CLASSES:
+        names = sorted(enumeration._STATS_BY_CLASS[kind])
+        enumeration.distribution(kind, 2, [(names[0], "x")])
+        enumeration.distribution(kind, 2, [(names[0], "x"), (names[1], "q")])
+    assert calls == [(kind, 2) for kind in enumeration.CLASSES for _ in range(2)]

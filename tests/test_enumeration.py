@@ -1,6 +1,7 @@
 """Generators, statistics, and brute-force distributions."""
 
 import math
+from itertools import permutations
 
 import pytest
 
@@ -32,10 +33,32 @@ def test_generate_small_streams():
 
 def test_streams_are_lexicographic():
     for kind, n in (("perm", 4), ("signed", 3), ("signed_hat", 3),
-                    ("stirling", 4), ("dual_stirling", 4)):
+                    ("stirling", 4), ("stirling", 7), ("dual_stirling", 4),
+                    ("derangement", 6)):
         words = list(en.generate(kind, n))
         assert words == sorted(words)
         assert len(set(words)) == len(words) == en.cardinality(kind, n)
+
+
+def test_stirling_words_are_valid_by_construction():
+    for n in range(7):
+        for word in en.generate("stirling", n):
+            assert en._check_stirling(word) == n
+
+
+def test_dual_stirling_stream_is_the_doubled_stirling_stream():
+    for n in range(7):
+        doubled = [en.dual_map(w) for w in en.generate("stirling", n)]
+        assert list(en.generate("dual_stirling", n)) == doubled
+
+
+def test_derangements_are_the_fixed_point_free_permutations():
+    for n in range(9):
+        expected = [
+            w for w in permutations(range(1, n + 1))
+            if all(v != i for i, v in enumerate(w, start=1))
+        ]
+        assert list(en.generate("derangement", n)) == expected
 
 
 def test_signed_hat_requires_positive_start():
@@ -72,6 +95,29 @@ def test_crun_examples():
                 if cyc[i - 1] < cyc[i] > cyc[i + 1]
             )
             assert en.cycle_runs(cyc) == 2 * peaks + 1
+
+
+def test_crun_and_cyc_agree_with_the_cycle_decomposition():
+    for n in range(8):
+        for word in permutations(range(1, n + 1)):
+            cycles = en.cycle_canonical(word)
+            assert en.crun(word) == en.crun_of_cycles(cycles)
+            assert en.cycle_count(word) == len(cycles)
+
+
+def test_fap_is_ap_plus_la_off_stirling_words():
+    # test_dual_map_invariants_through_7 covers every Stirling word n <= 7;
+    # here the prepended 0 adds no plateau, or the word is too short for one.
+    for word in ((0, 0, 1), (-1, -1), (2, 1, 1), (1,), ()):
+        fap = en.ascent_plateaus(word) + en.left_ascent_plateaus(word)
+        assert en.flag_ascent_plateaus(word) == fap
+
+
+def test_runs_reject_equal_neighbours():
+    for stat_fn, word in ((en.altrun, (1, 2, 2)), (en.altrun, (2, 1, 1)),
+                          (en.udrun, (1, 1)), (en.signed_altrun, (-1, 2, 2))):
+        with pytest.raises(ValueError, match="equal neighbours"):
+            stat_fn(word)
 
 
 def test_cycle_canonical_examples():

@@ -30,6 +30,20 @@ def test_theta_empty_range_fails_closed():
     assert theta.detail.startswith("empty range n=0..-1")
 
 
+def test_negative_order_is_an_empty_series_range():
+    report = verify.run_suite("series", order=-1)
+    assert not any("IndexError" in c.detail for c in report.checks)
+    built = {
+        check_id for check_id, fn in verify._CHECKS["series"]
+        if fn.__qualname__.startswith("_series.")
+    }
+    assert len(built) == 10
+    for c in report.checks:
+        if c.check_id in built:
+            assert not c.ok
+            assert c.detail.startswith("empty range n=0..-1"), c
+
+
 # Checks that fail when entry k=1 of row 4 of one family is bumped by one,
 # at max_n=5, order=6: exactly the checks that compare that row by a second
 # route.  A registry row that stops comparing drops out of its set.
