@@ -562,14 +562,3 @@ def distribution(
     else:
         counts = Counter(tuple(fn(word) for fn in fns) for word in words)
     return MultiPoly(variables, counts)
-
-
-def format_word(word: Sequence[int], kind: str = "perm") -> str:
-    """Objects print as words; signed words keep explicit signs."""
-    if kind in ("signed", "signed_hat"):
-        return " ".join(f"{v:+d}" for v in word)
-    return "".join(str(v) for v in word)
-
-
-def format_cycles(cycles: Iterable[Sequence[int]]) -> str:
-    return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)

@@ -35,6 +35,7 @@ from math import comb
 from typing import Callable
 
 from .errors import UnknownFamily
+from .gammalab import GammaForm
 from .multipoly import MultiPoly
 from .polys import Poly, Scalar, exact
 
@@ -42,7 +43,6 @@ Entry = int | Poly
 
 _Q = Poly.x()  # the q indeterminate for Rq entries
 _ONE_X = Poly([1, 1])  # 1 + x
-_ONE_X_SQ = Poly([1, 2, 1])  # (1 + x)^2
 
 
 @dataclass(frozen=True)
@@ -285,20 +285,14 @@ def _step_Fpoly(n: int, prev: list[Poly]) -> Poly:
 def eulerian(n: int, kind: str) -> Poly:
     """Type A or B Eulerian polynomial assembled from its gamma expansion.
 
-    A_n = sum_k a(n,k) x^k (1+x)^(n+1-2k) and B_n = sum_k b(n,k) x^k (1+x)^(n-2k)
-    for k = 0..K, summed by Horner's rule in (1+x)^2 and then multiplied by
-    the leftover (1+x)^(n+1-2K) or (1+x)^(n-2K), of degree 0 or 1.
+    A_n = sum_k a(n,k) x^k (1+x)^(n+1-2k) and B_n = sum_k b(n,k) x^k (1+x)^(n-2k).
     """
     if kind not in ("A", "B"):
         raise UnknownFamily(f"eulerian kind must be 'A' or 'B', got {kind!r}")
     if n < 1:
         raise ValueError(f"type {kind} defined for n >= 1")
     top = n + 1 if kind == "A" else n
-    row = triangle(kind.lower(), n).row(n)
-    acc = Poly.zero()
-    for k, gamma in enumerate(row):
-        acc = acc * _ONE_X_SQ + Poly.from_terms({k: gamma})
-    return acc * _ONE_X ** (top - 2 * (len(row) - 1))
+    return GammaForm(top, triangle(kind.lower(), n).row(n)).reassemble()
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DiscriminantMismatch
-from .polys import Poly, Scalar, divide_exact, poly_gcd
+from .polys import Poly, Scalar, divide_exact, poly_gcd, power
 
 
 class RatFunc:
@@ -240,15 +240,7 @@ class QuadExt:
     def __pow__(self, exponent: int) -> QuadExt:
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadExt(1, 0, self.disc)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, QuadExt(1, 0, self.disc))
 
     def derivative(self) -> QuadExt:
         """d/dx using rho' = disc' * rho / (2*disc)."""

@@ -11,6 +11,10 @@ and the two are linked by lambda_k = sum_i C(m-i, k-i) 2^(k-i) gamma_i.
 The David-Barton transform pairs a gamma vector M(n, .) with the polynomial
 sum_k 2^(2*delta-k) M(n,k) x^k (1+x)^(n-delta-k); the surd form of the same
 identity is certified at rational points via x = (1-t^2)/(1+t^2), w = t.
+
+All three are sums sum_k c_k x^k B^(m-k) over a gamma-type basis, with
+B = (1+x)^2, 1+x^2 or 1+x: `_basis_sum` assembles every one of them and
+`_basis_coeffs` is the one expansion back into such a basis.
 """
 
 from __future__ import annotations
@@ -24,7 +28,50 @@ from .errors import DegenerateSample, NotSymmetric
 from .polys import Poly, Scalar, as_fraction, divide_exact, exact, is_symmetric
 
 _ONE_X = Poly([1, 1])
+_ONE_X_SQ = Poly([1, 2, 1])
 _ONE_X2 = Poly([1, 0, 1])
+
+
+def _basis_sum(coeffs: Sequence[Scalar], base: Poly, m: int) -> Poly:
+    """sum_k c_k x^k base^(m-k), by Horner's rule in base.
+
+    A nonzero c_k with k > m would need a negative power of base and raises
+    ValueError; a zero c_k there is skipped.
+
+    >>> str(_basis_sum((1, 2), _ONE_X_SQ, 1))
+    '1 + 4*x + x^2'
+    """
+    count = max(m + 1, 0)  # the entries that get a power of base
+    for k in range(count, len(coeffs)):
+        if coeffs[k] != 0:
+            raise ValueError(f"negative ({base}) exponent at k={k}")
+    head = coeffs[:count]
+    acc = Poly.zero()
+    for k, c in enumerate(head):
+        acc = acc * base + Poly.from_terms({k: c})
+    return acc * base ** (count - len(head))
+
+
+def _basis_coeffs(p: Poly, base: Poly, m: int) -> tuple[Scalar, ...]:
+    """The c_0..c_m with p = sum_k c_k x^k base^(m-k); the inverse of `_basis_sum`.
+
+    base has constant term 1, so once the terms below k are subtracted, c_k
+    is the coefficient of x^k in what is left.  Anything left after c_m
+    raises NotSymmetric.
+    """
+    powers = [Poly.one()]
+    for _ in range(m):
+        powers.append(powers[-1] * base)
+    coeffs = []
+    remainder = p
+    for k in range(m + 1):
+        c = remainder.coefficient(k)
+        coeffs.append(c)
+        if c != 0:
+            remainder = remainder - (c * powers[m - k]).shift(k)
+    if not remainder.is_zero():
+        raise NotSymmetric(f"expansion in powers of {base} left a remainder {remainder}")
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -35,22 +82,11 @@ class GammaForm:
     gammas: tuple[Scalar, ...]
 
     def reassemble(self) -> Poly:
-        total = Poly.zero()
-        for k, g in enumerate(self.gammas):
-            if g != 0:
-                total = total + g * Poly.from_terms({k: 1}) * _ONE_X ** (
-                    self.base_degree - 2 * k
-                )
-        return total
+        d = self.base_degree
+        return _basis_sum(self.gammas, _ONE_X_SQ, d // 2) * _ONE_X ** (d % 2)
 
     def is_positive(self) -> bool:
         return all(g >= 0 for g in self.gammas)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base": self.base_degree,
-            "coeffs": [str(g) for g in self.gammas],
-        }
 
 
 @dataclass(frozen=True)
@@ -62,32 +98,20 @@ class SemiGammaForm:
     lambdas: tuple[Scalar, ...]
 
     def reassemble(self) -> Poly:
-        total = Poly.zero()
-        for k, lam in enumerate(self.lambdas):
-            if lam != 0:
-                total = total + lam * Poly.from_terms({k: 1}) * _ONE_X2 ** (
-                    self.half_degree - k
-                )
-        return total * _ONE_X**self.nu
+        return _basis_sum(self.lambdas, _ONE_X2, self.half_degree) * _ONE_X**self.nu
 
     def is_positive(self) -> bool:
         return all(lam >= 0 for lam in self.lambdas)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nu": self.nu,
-            "base": self.half_degree,
-            "coeffs": [str(lam) for lam in self.lambdas],
-        }
-
 
 def _peel(p: Poly, low: int, high: int) -> Poly:
-    """Shift the window [low, high] down to [0, high-low], checking symmetry."""
+    """Shift the window [low, high] down to [0, high-low], checking symmetry,
+    and divide out the (1+x) that an odd span forces: a palindromic
+    polynomial of odd span vanishes at -1."""
     if not is_symmetric(p, low, high):
         raise NotSymmetric(f"{p} is not symmetric on [{low}, {high}]")
-    if low == 0:
-        return p
-    return Poly(p.coeffs[low:])
+    core = Poly(p.coeffs[low:]) if low else p
+    return divide_exact(core, _ONE_X) if (high - low) % 2 else core
 
 
 def gamma_expand(p: Poly, low: int, high: int) -> GammaForm:
@@ -96,39 +120,14 @@ def gamma_expand(p: Poly, low: int, high: int) -> GammaForm:
     >>> gamma_expand(Poly([0, 1, 4, 1]), 1, 3).gammas
     (1, 2)
     """
-    core = _peel(p, low, high)
     d = high - low
-    gammas = []
-    remainder = core
-    for k in range(d // 2 + 1):
-        g = remainder.coefficient(k)
-        gammas.append(g)
-        if g != 0:
-            remainder = remainder - g * Poly.from_terms({k: 1}) * _ONE_X ** (d - 2 * k)
-    if not remainder.is_zero():
-        raise NotSymmetric(f"gamma expansion left a remainder {remainder}")
-    return GammaForm(d, tuple(gammas))
+    return GammaForm(d, _basis_coeffs(_peel(p, low, high), _ONE_X_SQ, d // 2))
 
 
 def semi_gamma_expand(p: Poly, low: int, high: int) -> SemiGammaForm:
     """Unique semi-gamma expansion of a polynomial symmetric on [low, high]."""
-    core = _peel(p, low, high)
     d = high - low
-    nu = d % 2
-    if nu:
-        # a palindromic polynomial of odd span vanishes at -1
-        core = divide_exact(core, _ONE_X)
-    m = d // 2
-    lambdas = []
-    remainder = core
-    for k in range(m + 1):
-        lam = remainder.coefficient(k)
-        lambdas.append(lam)
-        if lam != 0:
-            remainder = remainder - lam * Poly.from_terms({k: 1}) * _ONE_X2 ** (m - k)
-    if not remainder.is_zero():
-        raise NotSymmetric(f"semi-gamma expansion left a remainder {remainder}")
-    return SemiGammaForm(nu, m, tuple(lambdas))
+    return SemiGammaForm(d % 2, d // 2, _basis_coeffs(_peel(p, low, high), _ONE_X2, d // 2))
 
 
 def gamma_to_lambda(form: GammaForm) -> SemiGammaForm:
@@ -173,16 +172,8 @@ def david_barton_assemble(m_row: GammaForm, n: int, delta: int) -> Poly:
         raise ValueError(
             f"gamma form has base degree {m_row.base_degree}, expected {n + delta}"
         )
-    total = Poly.zero()
-    for k, g in enumerate(m_row.gammas):
-        if g == 0:
-            continue
-        exponent = n - delta - k
-        if exponent < 0:
-            raise ValueError(f"negative (1+x) exponent at k={k}")
-        weight = Fraction(2) ** (2 * delta - k)
-        total = total + weight * g * Poly.from_terms({k: 1}) * _ONE_X**exponent
-    return total
+    weighted = [Fraction(2) ** (2 * delta - k) * g for k, g in enumerate(m_row.gammas)]
+    return _basis_sum(weighted, _ONE_X, n - delta)
 
 
 def default_samples(count: int) -> list[Fraction]:

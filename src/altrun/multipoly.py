@@ -16,7 +16,7 @@ from operator import add
 from typing import Iterable, Mapping
 
 from .errors import UnknownSymbol
-from .polys import Poly, Scalar, exact
+from .polys import Poly, Scalar, exact, power
 
 
 class MultiPoly:
@@ -93,12 +93,6 @@ class MultiPoly:
     def constant_term(self) -> Scalar:
         return self.coefficient((0,) * len(self.alphabet))
 
-    def degree_in(self, name: str) -> int:
-        slot = self._slot(name)
-        if not self.terms:
-            return -1
-        return max(e[slot] for e in self.terms)
-
     def letters_used(self) -> set[str]:
         used = set()
         for exps in self.terms:
@@ -168,15 +162,7 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> MultiPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.constant(self.alphabet, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, MultiPoly.constant(self.alphabet, 1))
 
     def _coerce(self, value):
         if isinstance(value, MultiPoly):

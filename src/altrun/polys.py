@@ -67,14 +67,22 @@ def as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal of the form "p/q" or "p"."""
-    return Fraction(text.strip())
+def power(base, e: int, one):
+    """base**e for an integer e >= 0 by square-and-multiply, starting from `one`.
 
+    The `__pow__` methods of Poly, MultiPoly and QuadExt check e and call this.
 
-def format_rational(value: Scalar) -> str:
-    """Render a rational as "p/q", or "p" when the denominator is 1."""
-    return str(as_fraction(value))
+    >>> str(power(Poly([1, 1]), 3, Poly.one()))
+    '1 + 3*x + 3*x^2 + x^3'
+    """
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 class Poly:
@@ -205,15 +213,7 @@ class Poly:
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Poly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, Poly.one())
 
     # -- calculus and evaluation -------------------------------------------
 

@@ -295,13 +295,6 @@ class IdentityReport:
     closed: tuple
     expected: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "identity": self.identity,
-            "order": self.order,
-            "pass": self.ok,
-            "first_mismatch": self.first_mismatch,
-        }
 
 
 def _compare_sequences(identity, order, closed, expected) -> IdentityReport:

@@ -396,17 +396,9 @@ def check_f_nonnegative(hi: int):
 
 @_rows("triangles/b-two-routes", 0, 12, "triangle assembly equals b recurrence")
 def check_b_two_routes(hi: int):
-    tri = families.triangle("b", hi)
     seq = families.polyseq("bpoly", hi)
     for n in range(hi + 1):
-        assembled = sum(
-            (
-                Fraction(v, 2**k) * Poly.from_terms({k: 1}) * Poly([1, 1]) ** (n - k)
-                for k, v in enumerate(tri.row(n))
-            ),
-            Poly.zero(),
-        )
-        yield n, assembled, seq.poly(n)
+        yield n, gammalab.david_barton_assemble(_b_row_form(n), n, 0), seq.poly(n)
 
 
 @_rows("triangles/c-from-b", 1, 12, "c_n = x b_n / (1+x)")
@@ -417,23 +409,19 @@ def check_c_from_b(hi: int):
         yield n, divide_exact(Poly.x() * bseq.poly(n), Poly([1, 1])), cseq.poly(n)
 
 
-@_rows("triangles/F-two-reassemblies", 1, 12, "gamma and f reassemblies both give F_n")
+@_rows(
+    "triangles/F-two-reassemblies", 1, 12,
+    "gamma and f reassemblies give F_n; gammapoly gives the gamma rows",
+)
 def check_F_two_reassemblies(hi: int):
     g_tri = families.triangle("gamma", hi)
     f_tri = families.triangle("f", hi)
     seq = families.polyseq("Fpoly", hi)
-    one_x, one_x2 = Poly([1, 1]), Poly([1, 0, 1])
+    gseq = families.polyseq("gammapoly", hi)
     for n in range(1, hi + 1):
-        via_gamma = sum(
-            (v * Poly.from_terms({k: 1}) * one_x ** (2 * n - 2 * k) for k, v in enumerate(g_tri.row(n))),
-            Poly.zero(),
-        )
-        via_f = sum(
-            (v * Poly.from_terms({k: 1}) * one_x2 ** (n - k) for k, v in enumerate(f_tri.row(n))),
-            Poly.zero(),
-        )
-        yield n, via_gamma, seq.poly(n)
-        yield n, via_f, seq.poly(n)
+        yield n, gammalab.GammaForm(2 * n, g_tri.row(n)).reassemble(), seq.poly(n)
+        yield n, gammalab.SemiGammaForm(0, n, f_tri.row(n)).reassemble(), seq.poly(n)
+        yield n, gseq.poly(n), g_tri.row_poly(n)
 
 
 # ---------------------------------------------------------------------------

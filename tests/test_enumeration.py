@@ -124,7 +124,6 @@ def test_cycle_canonical_examples():
     assert en.cycle_canonical((2, 3, 1)) == ((1, 2, 3),)
     assert en.cycle_canonical((2, 1, 4, 3)) == ((1, 2), (3, 4))
     assert en.cycle_canonical((3, 1, 2)) == ((1, 3, 2),)
-    assert en.format_cycles(((1, 3, 2), (4, 5))) == "(1 3 2)(4 5)"
     assert en.crun_of_cycles(((1,), (2,), (3,))) == 3
 
 
@@ -224,12 +223,6 @@ def test_malformed_budget_is_rejected(monkeypatch, raw):
     monkeypatch.setenv("ALTRUN_BUDGET", raw)
     with pytest.raises(ValueError, match="ALTRUN_BUDGET must be a positive integer"):
         en.enumeration_budget()
-
-
-def test_format_word():
-    assert en.format_word((3, 2, 4, 1, 5, 6)) == "324156"
-    assert en.format_word((2, -1), "signed") == "+2 -1"
-    assert en.format_word((2, 2, 1, 3, 3, 1), "stirling") == "221331"
 
 
 def test_signed_hat_distribution_matches_c():

@@ -201,8 +201,28 @@ def test_expand_roundtrips(case):
     assert gl.gamma_to_lambda(form) == semi
 
 
-def test_serialization():
-    form = gl.gamma_expand(Poly([0, 1, 1, 1]), 1, 3)
-    assert form.to_json_dict() == {"base": 2, "coeffs": ["1", "-1"]}
-    semi = gl.semi_gamma_expand(Poly([1, 3, 3, 1]), 0, 3)
-    assert semi.to_json_dict() == {"nu": 1, "base": 1, "coeffs": ["1", "2"]}
+_BASES = (Poly([1, 1]), Poly([1, 2, 1]), Poly([1, 0, 1]))  # 1+x, (1+x)^2, 1+x^2
+_RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=6)
+
+
+@given(st.sampled_from(_BASES), st.integers(0, 8), st.data())
+def test_basis_coeffs_inverts_basis_sum(base, m, data):
+    c = data.draw(st.lists(_RATIONALS, max_size=m + 1))
+    p = gl._basis_sum(c, base, m)
+    assert gl._basis_coeffs(p, base, m) == tuple(c) + (0,) * (m + 1 - len(c))
+
+
+@given(st.integers(0, 11), st.data())
+def test_gamma_expand_inverts_reassemble(d, data):
+    gammas = tuple(data.draw(st.lists(_RATIONALS, min_size=d // 2 + 1, max_size=d // 2 + 1)))
+    p = gl.GammaForm(d, gammas).reassemble()
+    assert gl.gamma_expand(p, 0, d).gammas == gammas
+
+
+def test_david_barton_assemble_entry_past_n_minus_delta():
+    # n=3, delta=1: powers of (1+x) run from n-delta = 2 down, so k=3 has none
+    row = (F(0), F(1), F(2))
+    with pytest.raises(ValueError):
+        gl.david_barton_assemble(gl.GammaForm(4, row + (F(5),)), 3, 1)
+    padded = gl.david_barton_assemble(gl.GammaForm(4, row + (F(0),)), 3, 1)
+    assert padded == gl.david_barton_assemble(gl.GammaForm(4, row), 3, 1)

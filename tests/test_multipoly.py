@@ -83,4 +83,3 @@ def test_extended_alphabet():
     a = var("a")
     wide = a.extended(("a", "b", "c"))
     assert wide.alphabet == ("a", "b", "c")
-    assert wide.degree_in("a") == 1

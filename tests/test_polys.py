@@ -10,9 +10,7 @@ from altrun.families import triangle
 from altrun.polys import (
     Poly,
     divide_exact,
-    format_rational,
     is_symmetric,
-    parse_rational,
     poly_gcd,
     root_multiplicity,
 )
@@ -84,13 +82,6 @@ def test_printing():
     assert str(Poly()) == "0"
     assert str(Poly([Fraction(1, 2), 0, 1])) == "1/2 + x^2"
     assert Poly([0, 1]).to_str("q") == "q"
-
-
-def test_rational_literals():
-    assert parse_rational("3/6") == Fraction(1, 2)
-    assert parse_rational("-7") == -7
-    assert format_rational(Fraction(1, 2)) == "1/2"
-    assert format_rational(Fraction(4, 2)) == "2"
 
 
 def test_compose_and_scale():

@@ -117,6 +117,7 @@ CORRUPTED_ROW_FAILS = {
         "triangles/F-two-reassemblies",
     },
     "gamma": {"grammar/gamma-triangle", "triangles/F-two-reassemblies"},
+    "gammapoly": {"triangles/F-two-reassemblies"},
 }
 
 
