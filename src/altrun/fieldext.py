@@ -11,10 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DiscriminantMismatch
-from .polys import Poly, Scalar, divide_exact, poly_gcd, power
+from .polys import ExactRing, Poly, Scalar, divide_exact, poly_gcd, power
 
 
-class RatFunc:
+class RatFunc(ExactRing):
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly | Scalar = 0, den: Poly | Scalar = 1):
@@ -36,9 +36,6 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
     @classmethod
     def x(cls) -> RatFunc:
         return cls(Poly.x())
@@ -52,46 +49,38 @@ class RatFunc:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, RatFunc):
+            return value
+        if isinstance(value, (int, Fraction, Poly)):
+            return RatFunc(value)
+        return NotImplemented
+
     def __add__(self, other) -> RatFunc:
-        other = _as_ratfunc(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return RatFunc(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    __radd__ = __add__
-
     def __neg__(self) -> RatFunc:
         return RatFunc(-self.num, self.den)
 
-    def __sub__(self, other) -> RatFunc:
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> RatFunc:
-        return (-self) + other
-
     def __mul__(self, other) -> RatFunc:
-        other = _as_ratfunc(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return RatFunc(self.num * other.num, self.den * other.den)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other) -> RatFunc:
-        other = _as_ratfunc(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> RatFunc:
-        return _as_ratfunc(other) / self
 
     def __pow__(self, exponent: int) -> RatFunc:
         if exponent < 0:
@@ -112,7 +101,7 @@ class RatFunc:
         return self.num.evaluate(point) / d
 
     def __eq__(self, other) -> bool:
-        other = _as_ratfunc(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -125,38 +114,24 @@ class RatFunc:
             return self.num.to_str(var)
         return f"({self.num.to_str(var)})/({self.den.to_str(var)})"
 
-    def __str__(self) -> str:
-        return self.to_str()
-
     def __repr__(self) -> str:
         return f"RatFunc({str(self)!r})"
 
 
-def _as_ratfunc(value):
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, (int, Fraction, Poly)):
-        return RatFunc(value if isinstance(value, Poly) else Poly.constant(value))
-    return NotImplemented
-
-
-class QuadExt:
+class QuadExt(ExactRing):
     """base + rad*rho with rho^2 = disc, over the rational-function field."""
 
     __slots__ = ("base", "rad", "disc")
 
     def __init__(self, base, rad, disc):
-        base = _as_ratfunc(base)
-        rad = _as_ratfunc(rad)
-        disc = _as_ratfunc(disc)
+        base = RatFunc._coerce(base)
+        rad = RatFunc._coerce(rad)
+        disc = RatFunc._coerce(disc)
         if NotImplemented in (base, rad, disc):
             raise TypeError("QuadExt components must be rational functions")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "rad", rad)
         object.__setattr__(self, "disc", disc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt is immutable")
 
     @classmethod
     def radical(cls, disc) -> QuadExt:
@@ -177,7 +152,7 @@ class QuadExt:
                     f"cannot mix rho^2={other.disc} with rho^2={self.disc}"
                 )
             return other
-        rf = _as_ratfunc(other)
+        rf = RatFunc._coerce(other)
         if rf is NotImplemented:
             return NotImplemented
         return QuadExt(rf, 0, self.disc)
@@ -188,19 +163,8 @@ class QuadExt:
             return NotImplemented
         return QuadExt(self.base + other.base, self.rad + other.rad, self.disc)
 
-    __radd__ = __add__
-
     def __neg__(self) -> QuadExt:
         return QuadExt(-self.base, -self.rad, self.disc)
-
-    def __sub__(self, other) -> QuadExt:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> QuadExt:
-        return (-self) + other
 
     def __mul__(self, other) -> QuadExt:
         other = self._coerce(other)
@@ -211,8 +175,6 @@ class QuadExt:
             self.base * other.rad + self.rad * other.base,
             self.disc,
         )
-
-    __rmul__ = __mul__
 
     def conjugate(self) -> QuadExt:
         return QuadExt(self.base, -self.rad, self.disc)
@@ -233,9 +195,6 @@ class QuadExt:
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other) -> QuadExt:
-        return self._coerce(other) / self
 
     def __pow__(self, exponent: int) -> QuadExt:
         if exponent < 0:
@@ -263,9 +222,6 @@ class QuadExt:
 
     def to_str(self, var: str = "x") -> str:
         return f"({self.base.to_str(var)}) + ({self.rad.to_str(var)})*rho"
-
-    def __str__(self) -> str:
-        return self.to_str()
 
     def __repr__(self) -> str:
         return (

@@ -128,11 +128,10 @@ class Grammar:
                 raise ValueError("rule image over a different alphabet")
 
     @classmethod
-    def parse(cls, text: str, constants: Iterable[str] = ()) -> Grammar:
+    def parse(cls, text: str) -> Grammar:
         """Build from a one-line rule list "a->q*a*b; b->b*c; c->b^2".
 
-        Letters appearing only on right-hand sides (or listed in
-        `constants`) get the zero image.
+        Letters appearing only on right-hand sides get the zero image.
         """
         rule_texts: list[tuple[str, str]] = []
         for chunk in text.split(";"):
@@ -156,28 +155,14 @@ class Grammar:
             for tok in _tokenize(rhs):
                 if tok.isidentifier():
                     note(tok)
-        for name in constants:
-            note(name)
         alphabet = tuple(letters)
         rules = {
             lhs: parse_polynomial(rhs, alphabet) for lhs, rhs in rule_texts
         }
         return cls(alphabet, rules)
 
-    @property
-    def constants(self) -> tuple[str, ...]:
-        return tuple(
-            a for a in self.alphabet
-            if a not in self.rules or self.rules[a].is_zero()
-        )
-
     def letter(self, name: str) -> MultiPoly:
         return MultiPoly.variable(self.alphabet, name)
-
-    def rule(self, name: str) -> MultiPoly:
-        if name not in self.alphabet:
-            raise UnknownSymbol(name)
-        return self.rules.get(name, MultiPoly.zero(self.alphabet))
 
     # -- the formal derivative ---------------------------------------------
 

@@ -16,10 +16,10 @@ from operator import add
 from typing import Iterable, Mapping
 
 from .errors import UnknownSymbol
-from .polys import Poly, Scalar, exact, power
+from .polys import ExactRing, Poly, Scalar, exact, power
 
 
-class MultiPoly:
+class MultiPoly(ExactRing):
     __slots__ = ("alphabet", "terms")
 
     def __init__(
@@ -42,9 +42,6 @@ class MultiPoly:
                 clean[exps] = c
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -128,19 +125,8 @@ class MultiPoly:
             out[exps] = out.get(exps, 0) + c
         return MultiPoly(self.alphabet, out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> MultiPoly:
         return MultiPoly(self.alphabet, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> MultiPoly:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> MultiPoly:
-        return (-self) + other
 
     def __mul__(self, other) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
@@ -156,8 +142,6 @@ class MultiPoly:
                 key = tuple(map(add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
         return MultiPoly(self.alphabet, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> MultiPoly:
         if not isinstance(exponent, int) or exponent < 0:

@@ -85,7 +85,52 @@ def power(base, e: int, one):
     return result
 
 
-class Poly:
+class ExactRing:
+    """The operators every exact type derives from its own ring operations.
+
+    A subclass defines `_coerce` (its own type, or an `int`/`Fraction` lifted
+    into it; `NotImplemented` for anything else), `__add__`, `__neg__` and
+    `__mul__`, and `__truediv__` and `to_str` where it has them.  Reflected
+    operators call the subclass's own operator rather than alias it, so a
+    wrapper installed on `__add__` or `__mul__` also sees reflected calls.
+    Instances are immutable: attributes are set once in `__init__` through
+    `object.__setattr__`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return (-self) + other
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other / self
+
+    def __str__(self) -> str:
+        return self.to_str()
+
+
+class Poly(ExactRing):
     """An exact univariate polynomial, indexed by degree."""
 
     __slots__ = ("coeffs",)
@@ -95,9 +140,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -159,8 +201,16 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
+    @staticmethod
+    def _coerce(value):
+        if isinstance(value, Poly):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return Poly.constant(value)
+        return NotImplemented
+
     def __add__(self, other) -> Poly:
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         longer, shorter = self.coeffs, other.coeffs
@@ -171,19 +221,8 @@ class Poly:
             out[i] += c
         return Poly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> Poly:
         return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> Poly:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> Poly:
-        return (-self) + other
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, Fraction)):
@@ -199,8 +238,6 @@ class Poly:
                 for j, b in enumerate(bs, i):
                     out[j] += a * b
         return Poly(out)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> Poly:
         if not isinstance(scalar, (int, Fraction)):
@@ -258,7 +295,7 @@ class Poly:
 
     def __divmod__(self, divisor: Poly) -> tuple[Poly, Poly]:
         if not isinstance(divisor, Poly):
-            divisor = _coerce(divisor)
+            divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         dcs = divisor.coeffs
@@ -307,19 +344,8 @@ class Poly:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    def __str__(self) -> str:
-        return self.to_str()
-
     def __repr__(self) -> str:
         return f"Poly({self.to_str()!r})"
-
-
-def _coerce(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly.constant(value)
-    return NotImplemented
 
 
 def divide_exact(p: Poly, d: Poly) -> Poly:

@@ -29,11 +29,11 @@ from .errors import (
 )
 from .fieldext import QuadExt, RatFunc
 from .multipoly import MultiPoly
-from .polys import Poly, Scalar, as_fraction
+from .polys import ExactRing, Poly, Scalar, as_fraction
 
 
 @dataclass(frozen=True)
-class Series:
+class Series(ExactRing):
     """Truncated power series: coefficients of z^0 .. z^order.
 
     The coefficients carry their own arithmetic; zero is `coeffs[0] * 0`
@@ -74,16 +74,8 @@ class Series:
         coeffs = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         return Series(coeffs, self.order)
 
-    __radd__ = __add__
-
     def __neg__(self) -> Series:
         return Series(tuple(-a for a in self.coeffs), self.order)
-
-    def __sub__(self, other) -> Series:
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> Series:
-        return (-self) + other
 
     def __mul__(self, other) -> Series:
         if not isinstance(other, Series):
@@ -101,8 +93,6 @@ class Series:
                 out[i + j] = out[i + j] + a * b
         return Series(tuple(out), self.order)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other) -> Series:
         other = self._coerce(other)
         try:
@@ -118,9 +108,6 @@ class Series:
                 acc = acc - out[k] * other.coeffs[n - k]
             out.append(acc * inv0)
         return Series(tuple(out), self.order)
-
-    def __rtruediv__(self, other) -> Series:
-        return self._coerce(other) / self
 
     # -- transcendental combinators -------------------------------------------
 
@@ -255,7 +242,6 @@ def egf_T(order: int) -> Series:
     return _reduce_to_polys(_T_closed(x, QuadExt.radical(_DISC_RHO), order), "egf_T")
 
 
-@lru_cache(maxsize=None)
 def egf_carlitz(order: int) -> Series:
     """Carlitz EGF; n! times coefficient n is sum_k R(n+1,k) x^(n-k)."""
     x = QuadExt(RatFunc.x(), 0, _DISC_RHO)
@@ -296,61 +282,53 @@ class IdentityReport:
     expected: tuple
 
 
-
-def _compare_sequences(identity, order, closed, expected) -> IdentityReport:
+def _egf_report(identity: str, series: Series, want, order: int) -> IdentityReport:
+    """n! times coefficient n of `series` against `want(n)`, for n = 0..order."""
+    closed = tuple(series.egf_coefficient(n) for n in range(order + 1))
+    expected = tuple(want(n) for n in range(order + 1))
     first = None
-    for n, (got, want) in enumerate(zip(closed, expected)):
-        if got != want:
-            first = f"n={n}: {got} != {want}"
+    for n, (got, exp) in enumerate(zip(closed, expected)):
+        if got != exp:
+            first = f"n={n}: {got} != {exp}"
             break
-    return IdentityReport(
-        identity, order, first is None, first, tuple(closed), tuple(expected)
-    )
+    return IdentityReport(identity, order, first is None, first, closed, expected)
 
 
 def check_egf_T(order: int) -> IdentityReport:
     tri = families.triangle("T", order)
-    closed = [egf_T(order).egf_coefficient(n) for n in range(order + 1)]
-    expected = [tri.row_poly(n) for n in range(order + 1)]
-    return _compare_sequences("egf_T vs T triangle", order, closed, expected)
+    return _egf_report("egf_T vs T triangle", egf_T(order), tri.row_poly, order)
 
 
 def check_egf_carlitz(order: int) -> IdentityReport:
     tri = families.triangle("R", order + 1)
-    closed = [egf_carlitz(order).egf_coefficient(n) for n in range(order + 1)]
-    expected = []
-    for n in range(order + 1):
-        row = tri.row(n + 1)
-        expected.append(Poly.from_terms({n - k: v for k, v in enumerate(row)}))
-    return _compare_sequences("egf_carlitz vs reversed R rows", order, closed, expected)
+    return _egf_report(
+        "egf_carlitz vs reversed R rows",
+        egf_carlitz(order),
+        lambda n: Poly.from_terms({n - k: v for k, v in enumerate(tri.row(n + 1))}),
+        order,
+    )
 
 
 def check_egf_Rq(q0: Scalar, order: int) -> IdentityReport:
     q0 = as_fraction(q0)
     tri = families.triangle("Rq", order)
-    series = egf_Rq(q0, order)
-    closed = [series.egf_coefficient(n) for n in range(order + 1)]
-    expected = [families.q_specialize(tri.row(n), q0) for n in range(order + 1)]
-    return _compare_sequences(
-        f"egf_Rq at q={q0} vs Rq triangle", order, closed, expected
+    return _egf_report(
+        f"egf_Rq at q={q0} vs Rq triangle",
+        egf_Rq(q0, order),
+        lambda n: families.q_specialize(tri.row(n), q0),
+        order,
     )
 
 
 def check_egf_f(order: int) -> IdentityReport:
     tri = families.triangle("f", order)
-    series = egf_f(order)
-    closed = [series.egf_coefficient(n) for n in range(order + 1)]
-    expected = [tri.row_poly(n) for n in range(order + 1)]
-    return _compare_sequences("sqrt(T(2x,z)) vs f triangle", order, closed, expected)
+    return _egf_report("sqrt(T(2x,z)) vs f triangle", egf_f(order), tri.row_poly, order)
 
 
 def check_derangement_egf(order: int) -> IdentityReport:
     seq = families.polyseq("dpoly", order)
-    series = egf_derangement(order)
-    closed = [series.egf_coefficient(n) for n in range(order + 1)]
-    expected = [seq.poly(n) for n in range(order + 1)]
-    return _compare_sequences(
-        "exp(-xz) T(x,z) vs derangement polynomials", order, closed, expected
+    return _egf_report(
+        "exp(-xz) T(x,z) vs derangement polynomials", egf_derangement(order), seq.poly, order
     )
 
 
@@ -359,10 +337,11 @@ def check_parity_symmetry(q0: Scalar, order: int) -> IdentityReport:
     q0 = as_fraction(q0)
     neg = egf_Rq(-q0, order)
     pos = egf_Rq(q0, order)
-    closed = [neg.egf_coefficient(n) for n in range(order + 1)]
-    expected = [pos.egf_coefficient(n).scale_x(-1) for n in range(order + 1)]
-    return _compare_sequences(
-        f"R(x,z;-q) = R(-x,z;q) at q={q0}", order, closed, expected
+    return _egf_report(
+        f"R(x,z;-q) = R(-x,z;q) at q={q0}",
+        neg,
+        lambda n: pos.egf_coefficient(n).scale_x(-1),
+        order,
     )
 
 
@@ -383,16 +362,11 @@ def check_inclusion_exclusion(q0: Scalar, order: int) -> IdentityReport:
         ],
         order,
     )
-    full = exp_cz(x * (y - 1) * q0, order) * rq
-    closed = [full.egf_coefficient(n) for n in range(order + 1)]
-    expected = [
-        families.inclusion_exclusion_Rxy(n, q0) for n in range(order + 1)
-    ]
-    return _compare_sequences(
+    return _egf_report(
         f"exp(qx(y-1)z) R(x,z;q) vs inclusion-exclusion at q={q0}",
+        exp_cz(x * (y - 1) * q0, order) * rq,
+        lambda n: families.inclusion_exclusion_Rxy(n, q0),
         order,
-        closed,
-        expected,
     )
 
 
@@ -400,11 +374,9 @@ def check_f_diagonal(order: int) -> IdentityReport:
     """sqrt((1+tan x)/(1-tan x)) against the diagonal f_{n,n}."""
     tan = sin_cz(Fraction(1), order) / cos_cz(Fraction(1), order)
     series = ((1 + tan) / (1 - tan)).sqrt()
-    closed = [series.egf_coefficient(n) for n in range(order + 1)]
     tri = families.triangle("f", order)
-    expected = [Fraction(tri.entry(n, n)) for n in range(order + 1)]
-    return _compare_sequences(
-        "sqrt((1+tan)/(1-tan)) vs f diagonal", order, closed, expected
+    return _egf_report(
+        "sqrt((1+tan)/(1-tan)) vs f diagonal", series, lambda n: Fraction(tri.entry(n, n)), order
     )
 
 
@@ -417,14 +389,12 @@ def check_d_diagonal(order: int) -> IdentityReport:
     s = sin_cz(Fraction(1), order)
     c = cos_cz(Fraction(1), order)
     series = exp_cz(Fraction(-1), order) * (1 + s) / c
-    closed = [series.egf_coefficient(n) for n in range(order + 1)]
     seq = families.polyseq("dpoly", order)
-    expected = [seq.poly(n).coefficient(n) for n in range(order + 1)]
-    return _compare_sequences(
+    return _egf_report(
         "exp(-x) (tan x + sec x) vs derangement diagonal",
+        series,
+        lambda n: seq.poly(n).coefficient(n),
         order,
-        closed,
-        expected,
     )
 
 
@@ -450,12 +420,12 @@ def check_F_dual_at(x0: Scalar, order: int) -> IdentityReport:
         raise DegenerateSample("x0 = +-1 degenerates the substitution")
     u = 2 * x0 / (1 + x0 * x0)
     inner = _T_series_at(u, order).scale_z(1 + x0 * x0)
-    series = inner.sqrt()
-    closed = [series.egf_coefficient(n) for n in range(order + 1)]
     seq = families.polyseq("Fpoly", order)
-    expected = [seq.poly(n).evaluate(x0) for n in range(order + 1)]
-    return _compare_sequences(
-        f"sqrt(T(2x/(1+x^2),(1+x^2)z)) at x0={x0}", order, closed, expected
+    return _egf_report(
+        f"sqrt(T(2x/(1+x^2),(1+x^2)z)) at x0={x0}",
+        inner.sqrt(),
+        lambda n: seq.poly(n).evaluate(x0),
+        order,
     )
 
 

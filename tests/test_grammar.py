@@ -24,14 +24,13 @@ def mono(g, text):
 
 def test_parse_grammar_alphabet_and_constants():
     assert QRUN.alphabet == ("a", "q", "b", "c")
-    assert QRUN.constants == ("q",)
-    assert QRUN.rule("q").is_zero()
-    assert QRUN.rule("b") == mono(QRUN, "b*c")
+    assert "q" not in QRUN.rules
+    assert QRUN.rules["b"] == mono(QRUN, "b*c")
 
 
 def test_parse_negative_coefficients():
     g3 = gr.named_grammar("gammavec")
-    assert g3.rule("a") == mono(g3, "a*b^2 - 2*a^2")
+    assert g3.rules["a"] == mono(g3, "a*b^2 - 2*a^2")
 
 
 def test_parse_errors():

@@ -1,5 +1,7 @@
-"""Dense polynomial arithmetic, exact division, and window symmetry."""
+"""Dense polynomial arithmetic, exact division, window symmetry, and the
+operators every exact type derives from `ExactRing`."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ from hypothesis import given, strategies as st
 
 from altrun.errors import NotDivisible, SupportOutOfRange, ZeroPolynomial
 from altrun.families import triangle
+from altrun.fieldext import QuadExt, RatFunc
+from altrun.multipoly import MultiPoly
 from altrun.polys import (
     Poly,
     divide_exact,
@@ -14,6 +18,7 @@ from altrun.polys import (
     poly_gcd,
     root_multiplicity,
 )
+from altrun.serieslab import Series
 
 
 def test_mul_binomial():
@@ -82,6 +87,50 @@ def test_printing():
     assert str(Poly()) == "0"
     assert str(Poly([Fraction(1, 2), 0, 1])) == "1/2 + x^2"
     assert Poly([0, 1]).to_str("q") == "q"
+
+
+_XY = ("x", "y")
+_DISC = RatFunc(Poly([1, 0, -1]))  # rho^2 = 1 - x^2
+# Two elements of each exact type, for the operators derived in ExactRing.
+EXACT_PAIRS = {
+    "Poly": (Poly([1, 2]), Poly([0, 3, -1])),
+    "MultiPoly": (
+        MultiPoly.variable(_XY, "x"),
+        MultiPoly(_XY, {(1, 1): 2, (0, 2): Fraction(1, 3), (0, 0): -1}),
+    ),
+    "RatFunc": (RatFunc(Poly([1, 1]), Poly([1, -1])), RatFunc.x()),
+    "QuadExt": (
+        QuadExt(RatFunc.x(), 1, _DISC),
+        QuadExt(1, RatFunc(Poly([0, 2]), Poly([3, 1])), _DISC),
+    ),
+    "Series": (
+        Series.make([Fraction(1), Fraction(2)], 4),
+        Series.make([Fraction(0), Fraction(1, 3), Fraction(-1)], 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("c", [2, Fraction(1, 2)])
+@pytest.mark.parametrize("kind", sorted(EXACT_PAIRS))
+def test_exact_ring_derived_operators(kind, c):
+    a, b = EXACT_PAIRS[kind]
+    assert a - b == a + (-b)
+    assert c - a == -(a - c)
+    assert c + a == a + c
+    assert c * a == a * c
+    with pytest.raises(FrozenInstanceError if kind == "Series" else AttributeError):
+        a.tag = 1
+
+
+@pytest.mark.parametrize(
+    "kind, foreign",
+    [(kind, foreign) for kind in sorted(EXACT_PAIRS) for foreign in ("a", None)]
+    + [("Poly", 3)],  # Q[x] has no inverse of x
+)
+def test_reflected_division_by_a_foreign_operand_is_a_type_error(kind, foreign):
+    a, _ = EXACT_PAIRS[kind]
+    with pytest.raises(TypeError):
+        foreign / a
 
 
 def test_compose_and_scale():

@@ -120,6 +120,31 @@ CORRUPTED_ROW_FAILS = {
     "gammapoly": {"triangles/F-two-reassemblies"},
 }
 
+# The detail of each failing series check in those runs: the first index
+# where the closed form and the corrupted row part, printed both ways.
+CORRUPTED_ROW_SERIES_DETAILS = {
+    "Fpoly": {
+        "series/F-dual": "sqrt(T(2x/(1+x^2),(1+x^2)z)) at x0=1/2: n=4: 1131/128 != 1195/128",
+        "series/theta": "theta-operator identity fails",
+    },
+    "R": {
+        "series/egf-carlitz": "egf_carlitz vs reversed R rows: n=3: 10 + 12*x + 2*x^2 != 10 + 12*x + 3*x^2",
+    },
+    "Rq": {
+        "series/egf-Rq": "egf_Rq at q=1 vs Rq triangle: n=4: x + 7*x^2 + 11*x^3 + 5*x^4 != 2*x + 7*x^2 + 11*x^3 + 5*x^4",
+        "series/pde": "PDE fails on the true triangle",
+    },
+    "T": {
+        "series/egf-T": "egf_T vs T triangle: n=4: x + 7*x^2 + 11*x^3 + 5*x^4 != 2*x + 7*x^2 + 11*x^3 + 5*x^4",
+    },
+    "dpoly": {
+        "series/derangement": "exp(-xz) T(x,z) vs derangement polynomials: n=4: x + 3*x^2 + 5*x^3 != 2*x + 3*x^2 + 5*x^3",
+    },
+    "f": {
+        "series/egf-f": "sqrt(T(2x,z)) vs f triangle: n=4: x + 7*x^2 + 26*x^3 + 17*x^4 != 2*x + 7*x^2 + 26*x^3 + 17*x^4",
+    },
+}
+
 
 def _corrupt(monkeypatch, family: str) -> None:
     """Bump entry k=1 of row 4 of `family` in everything verify reads."""
@@ -163,8 +188,10 @@ def test_corrupted_row_fails_exactly_the_checks_comparing_it(monkeypatch, family
     _corrupt(monkeypatch, family)
     report = verify.run_suite("all", max_n=5, order=6)
     assert len(report.checks) == 49
-    failed = {c.check_id for c in report.checks if not c.ok}
-    assert failed == CORRUPTED_ROW_FAILS[family]
+    failed = {c.check_id: c.detail for c in report.checks if not c.ok}
+    assert set(failed) == CORRUPTED_ROW_FAILS[family]
+    series = {k: v for k, v in failed.items() if k.startswith("series/")}
+    assert series == CORRUPTED_ROW_SERIES_DETAILS.get(family, {})
 
 
 def test_raising_check_fails_on_its_own(monkeypatch):
