@@ -25,16 +25,25 @@ class RatFunc(ExactRing):
         if num.is_zero():
             num, den = Poly.zero(), Poly.one()
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = divide_exact(num, g)
-                den = divide_exact(den, g)
+            if den.degree > 0:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num = divide_exact(num, g)
+                    den = divide_exact(den, g)
             lc = den.leading_coefficient()
             if lc != 1:
                 num = num / lc
                 den = den / lc
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _canonical(cls, num: Poly, den: Poly) -> RatFunc:
+        """num/den as given, already gcd-reduced with a monic denominator."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "num", num)
+        object.__setattr__(new, "den", den)
+        return new
 
     @classmethod
     def x(cls) -> RatFunc:
@@ -66,9 +75,12 @@ class RatFunc(ExactRing):
         )
 
     def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
+        return RatFunc._canonical(-self.num, self.den)
 
     def __mul__(self, other) -> RatFunc:
+        if isinstance(other, (int, Fraction)) and other:
+            # a nonzero scalar keeps the canonical form
+            return RatFunc._canonical(self.num * other, self.den)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -167,6 +179,8 @@ class QuadExt(ExactRing):
         return QuadExt(-self.base, -self.rad, self.disc)
 
     def __mul__(self, other) -> QuadExt:
+        if isinstance(other, (int, Fraction)):
+            return QuadExt(self.base * other, self.rad * other, self.disc)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

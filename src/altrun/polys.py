@@ -294,8 +294,9 @@ class Poly(ExactRing):
     # -- division ----------------------------------------------------------
 
     def __divmod__(self, divisor: Poly) -> tuple[Poly, Poly]:
-        if not isinstance(divisor, Poly):
-            divisor = self._coerce(divisor)
+        divisor = self._coerce(divisor)
+        if divisor is NotImplemented:
+            return NotImplemented
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         dcs = divisor.coeffs

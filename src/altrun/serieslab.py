@@ -1,11 +1,14 @@
 """Truncated exponential-generating-function arithmetic, exactly.
 
-A Series holds coefficients of z^0..z^order and computes with their own
-exact arithmetic.  The rings used are Q (`Fraction`), Q[x] (`Poly`),
-Q[x,y] (`MultiPoly`) and the quadratic extension
-Q(x)[rho]/(rho^2 - D) (`QuadExt`).  All operations truncate consistently at
-the order.  Series division inverts the constant term as `1 / c`, so it is
-supported only over Q and Q(x)[rho].
+A Series stores the EGF coefficients egf[n] = n! [z^n] for n = 0..order
+and computes with their own exact arithmetic.  The rings used are Q
+(`int`/`Fraction`), Q[x] (`Poly`), Q[x,y] (`MultiPoly`) and the quadratic
+extension Q(x)[rho]/(rho^2 - D) (`QuadExt`).  Products, quotients, `exp`,
+`log` and `sqrt` are binomial convolutions of the stored values, so a series
+with integer EGF coefficients (T, Carlitz, T^q for integer q, the derangement
+EGF) is computed in integers throughout, with no 1/n! anywhere.  All
+operations truncate consistently at the order.  Series division inverts the
+constant term as `1 / c`, so it is supported only over Q and Q(x)[rho].
 
 The closed-form generating functions of the run polynomials live here; the
 ones that need sqrt(1-x^2) are computed in the quadratic extension and the
@@ -32,122 +35,181 @@ from .multipoly import MultiPoly
 from .polys import ExactRing, Poly, Scalar, as_fraction
 
 
+_HALF = Fraction(1, 2)
+
+
+@lru_cache(maxsize=None)
+def _pascal(order: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..order of Pascal's triangle: `_pascal(order)[n][k]` is C(n, k)."""
+    rows = [(1,)]
+    for _ in range(order):
+        prev = rows[-1]
+        rows.append((1,) + tuple(a + b for a, b in zip(prev, prev[1:])) + (1,))
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class Series(ExactRing):
-    """Truncated power series: coefficients of z^0 .. z^order.
+    """Truncated exponential generating function: egf[n] = n! [z^n], n <= order.
 
-    The coefficients carry their own arithmetic; zero is `coeffs[0] * 0`
-    and one is that zero plus 1, derived once per operation.
+    The stored values carry their own arithmetic; zero is `egf[0] * 0` and
+    one is that zero plus 1, derived once per operation.  Every operation is
+    a binomial convolution, so integer EGF coefficients stay integers:
+
+    >>> s = exp_cz(1, 3)
+    >>> s.egf == (1, 1, 1, 1)
+    True
+    >>> [str(c) for c in s.coeffs]
+    ['1', '1', '1/2', '1/6']
     """
 
-    coeffs: tuple
+    egf: tuple
     order: int
 
     @classmethod
     def make(cls, coeffs: Sequence, order: int) -> Series:
-        """Truncate or zero-pad `coeffs` to z^0 .. z^order."""
+        """The series with ordinary coefficients `coeffs` ([z^n]), truncated
+        or zero-padded to z^0 .. z^order."""
         coeffs = list(coeffs)[: order + 1]
         if len(coeffs) < order + 1:
             coeffs += [coeffs[0] * 0] * (order + 1 - len(coeffs))
-        return cls(tuple(coeffs), order)
+        return cls(tuple(c * factorial(n) for n, c in enumerate(coeffs)), order)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The ordinary coefficients [z^n] = egf[n] / n!."""
+        return tuple(c * Fraction(1, factorial(n)) for n, c in enumerate(self.egf))
 
     def coefficient(self, n: int):
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        """The ordinary coefficient [z^n]."""
+        return self.egf_coefficient(n) * Fraction(1, factorial(n))
 
     def egf_coefficient(self, n: int):
-        """n! times the z^n coefficient."""
-        return self.coefficient(n) * factorial(n)
+        """n! times the z^n coefficient, as stored."""
+        if not 0 <= n <= self.order:
+            raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
+        return self.egf[n]
 
     def _coerce(self, other) -> Series:
         if not isinstance(other, Series):
-            return Series.make([self.coeffs[0] * 0 + other], self.order)
+            zero = self.egf[0] * 0
+            return Series((zero + other,) + (zero,) * self.order, self.order)
         if other.order != self.order:
             raise ValueError("series orders differ")
         return other
+
+    def _support(self) -> list[int]:
+        """Indices of the nonzero stored values."""
+        zero = self.egf[0] * 0
+        return [k for k, c in enumerate(self.egf) if c != zero]
 
     # -- ring structure ------------------------------------------------------
 
     def __add__(self, other) -> Series:
         other = self._coerce(other)
-        coeffs = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        return Series(coeffs, self.order)
+        return Series(tuple(a + b for a, b in zip(self.egf, other.egf)), self.order)
 
     def __neg__(self) -> Series:
-        return Series(tuple(-a for a in self.coeffs), self.order)
+        return Series(tuple(-a for a in self.egf), self.order)
 
     def __mul__(self, other) -> Series:
+        """c_n = sum_k C(n, k) a_k b_(n-k)."""
         if not isinstance(other, Series):
-            return Series(tuple(a * other for a in self.coeffs), self.order)
+            return Series(tuple(a * other for a in self.egf), self.order)
         other = self._coerce(other)
-        zero = self.coeffs[0] * 0
-        out = [zero] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == zero:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b == zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
+        a, b = self.egf, other.egf
+        zero = a[0] * 0
+        support = self._support()
+        nonzero_b = [c != zero for c in b]
+        out = []
+        for n, row in enumerate(_pascal(self.order)):
+            acc = zero
+            for k in support:
+                if k > n:
+                    break
+                if nonzero_b[n - k]:
+                    acc = acc + a[k] * b[n - k] * row[k]
+            out.append(acc)
         return Series(tuple(out), self.order)
 
     def __truediv__(self, other) -> Series:
+        """c_n = (a_n - sum_(k<n) C(n, k) c_k b_(n-k)) / b_0."""
         other = self._coerce(other)
+        b = other.egf
         try:
-            inv0 = Fraction(1) / other.coeffs[0]
+            inv0 = Fraction(1) / b[0]
         except ZeroDivisionError as exc:
-            raise NonInvertibleConstantTerm(
-                f"constant term {other.coeffs[0]} is not invertible"
-            ) from exc
+            raise NonInvertibleConstantTerm(f"constant term {b[0]} is not invertible") from exc
+        unit = inv0 == 1
+        support = [j for j in other._support() if j]
         out = []
-        for n in range(self.order + 1):
-            acc = self.coeffs[n]
-            for k in range(n):
-                acc = acc - out[k] * other.coeffs[n - k]
-            out.append(acc * inv0)
+        for n, row in enumerate(_pascal(self.order)):
+            acc = self.egf[n]
+            for j in support:
+                if j > n:
+                    break
+                acc = acc - out[n - j] * b[j] * row[j]
+            out.append(acc if unit else acc * inv0)
         return Series(tuple(out), self.order)
 
     # -- transcendental combinators -------------------------------------------
 
     def exp(self) -> Series:
-        """exp of a series with zero constant term."""
-        zero = self.coeffs[0] * 0
-        if self.coeffs[0] != zero:
+        """exp of a series with zero constant term: E' = S' E, so
+        e_n = sum_(j<n) C(n-1, j) s_(j+1) e_(n-1-j)."""
+        s = self.egf
+        zero = s[0] * 0
+        if s[0] != zero:
             raise BadConstantTerm("exp needs constant term 0")
+        pascal = _pascal(self.order)
         out = [zero + 1]
         for n in range(1, self.order + 1):
+            row = pascal[n - 1]
             acc = zero
             for k in range(1, n + 1):
-                acc = acc + self.coeffs[k] * out[n - k] * k
-            out.append(acc * Fraction(1, n))
+                acc = acc + s[k] * out[n - k] * row[k - 1]
+            out.append(acc)
         return Series(tuple(out), self.order)
 
     def log(self) -> Series:
-        """log of a series with constant term 1."""
-        zero = self.coeffs[0] * 0
-        if self.coeffs[0] != zero + 1:
+        """log of a series with constant term 1: S L' = S', so
+        l_n = s_n - sum_(j<=n-2) C(n-1, j) l_(j+1) s_(n-1-j)."""
+        s = self.egf
+        zero = s[0] * 0
+        if s[0] != zero + 1:
             raise BadConstantTerm("log needs constant term 1")
+        pascal = _pascal(self.order)
         out = [zero]
         for n in range(1, self.order + 1):
-            acc = self.coeffs[n]
-            for k in range(1, n):
-                acc = acc - out[k] * self.coeffs[n - k] * Fraction(k, n)
+            row = pascal[n - 1]
+            acc = s[n]
+            for i in range(1, n):
+                acc = acc - out[n - i] * s[i] * row[i]
             out.append(acc)
         return Series(tuple(out), self.order)
 
     def sqrt(self) -> Series:
-        """Square root of a series with constant term 1."""
-        one = self.coeffs[0] * 0 + 1
-        if self.coeffs[0] != one:
+        """Square root of a series with constant term 1.
+
+        s_n = sum_k C(n, k) r_k r_(n-k) pairs the terms k and n-k, and
+        C(2m, m) = 2 C(2m-1, m-1), so r_n = s_n / 2 - sum_(0<k<n/2) C(n, k)
+        r_k r_(n-k) - [n = 2m] C(2m-1, m-1) r_m^2.
+        """
+        s = self.egf
+        one = s[0] * 0 + 1
+        if s[0] != one:
             raise BadConstantTerm("sqrt needs constant term 1")
+        pascal = _pascal(self.order)
         out = [one]
         for n in range(1, self.order + 1):
-            acc = self.coeffs[n]
-            for k in range(1, n):
-                acc = acc - out[k] * out[n - k]
-            out.append(acc * Fraction(1, 2))
+            row = pascal[n]
+            acc = s[n] * _HALF
+            for k in range(1, (n + 1) // 2):
+                acc = acc - out[k] * out[n - k] * row[k]
+            if n % 2 == 0:
+                m = n // 2
+                acc = acc - out[m] * out[m] * pascal[n - 1][m - 1]
+            out.append(acc)
         return Series(tuple(out), self.order)
 
     def pow_rational(self, exponent: Scalar) -> Series:
@@ -158,8 +220,8 @@ class Series(ExactRing):
     def scale_z(self, factor) -> Series:
         """Substitute factor*z for z."""
         out = []
-        power = self.coeffs[0] * 0 + 1
-        for c in self.coeffs:
+        power = self.egf[0] * 0 + 1
+        for c in self.egf:
             out.append(c * power)
             power = power * factor
         return Series(tuple(out), self.order)
@@ -167,19 +229,15 @@ class Series(ExactRing):
     # -- display ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        lines = [
-            f"z^{n}/{n}!: {self.coeffs[n] * Fraction(factorial(n))}"
-            for n in range(self.order + 1)
-        ]
-        return "\n".join(lines)
+        return "\n".join(f"z^{n}/{n}!: {c}" for n, c in enumerate(self.egf))
 
 
 def exp_cz(c, order: int) -> Series:
-    """The series exp(c z) = sum c^n z^n / n!, over the ring of c."""
+    """The series exp(c z): its EGF coefficients are the powers c^n."""
     out = []
     power = c * 0 + 1
-    for n in range(order + 1):
-        out.append(power * Fraction(1, factorial(n)))
+    for _ in range(order + 1):
+        out.append(power)
         power = power * c
     return Series(tuple(out), order)
 
@@ -195,11 +253,11 @@ def cos_cz(c, order: int) -> Series:
 
 
 def _signed_terms(series: Series, parity: int) -> Series:
-    zero = series.coeffs[0] * 0
+    zero = series.egf[0] * 0
     return Series(
         tuple(
             (-a if n // 2 % 2 else a) if n % 2 == parity else zero
-            for n, a in enumerate(series.coeffs)
+            for n, a in enumerate(series.egf)
         ),
         series.order,
     )
@@ -215,7 +273,7 @@ _DISC_RHO = RatFunc(Poly([1, 0, -1]))  # rho^2 = 1 - x^2
 def _reduce_to_polys(series: Series, context: str) -> Series:
     """Collapse quadratic-extension coefficients to plain polynomials."""
     polys = []
-    for n, c in enumerate(series.coeffs):
+    for n, c in enumerate(series.egf):
         if not c.rad.is_zero():
             raise ExtensionResidue(f"{context}: rho survives in coefficient {n}")
         if not c.base.is_polynomial():
@@ -251,6 +309,7 @@ def egf_carlitz(order: int) -> Series:
     return _reduce_to_polys(ratio * quot * quot, "egf_carlitz")
 
 
+@lru_cache(maxsize=None)
 def egf_Rq(q0: Scalar, order: int) -> Series:
     """T(x,z)^q0; n! times coefficient n is R_n(x; q0)."""
     return egf_T(order).pow_rational(q0)
@@ -259,7 +318,7 @@ def egf_Rq(q0: Scalar, order: int) -> Series:
 def egf_f(order: int) -> Series:
     """EGF of the half-gamma polynomials: R(2x, z; 1/2) = sqrt(T(2x, z))."""
     base = egf_Rq(Fraction(1, 2), order)
-    return Series(tuple(p.scale_x(2) for p in base.coeffs), order)
+    return Series(tuple(p.scale_x(2) for p in base.egf), order)
 
 
 def egf_derangement(order: int) -> Series:
@@ -352,14 +411,11 @@ def check_inclusion_exclusion(q0: Scalar, order: int) -> IdentityReport:
     x = MultiPoly.variable(alphabet, "x")
     y = MultiPoly.variable(alphabet, "y")
     tri = families.triangle("Rq", order)
-    rq = Series.make(
-        [
-            MultiPoly.from_poly(
-                families.q_specialize(tri.row(n), q0), "x", alphabet
-            )
-            * Fraction(1, factorial(n))
+    rq = Series(
+        tuple(
+            MultiPoly.from_poly(families.q_specialize(tri.row(n), q0), "x", alphabet)
             for n in range(order + 1)
-        ],
+        ),
         order,
     )
     return _egf_report(
@@ -372,7 +428,7 @@ def check_inclusion_exclusion(q0: Scalar, order: int) -> IdentityReport:
 
 def check_f_diagonal(order: int) -> IdentityReport:
     """sqrt((1+tan x)/(1-tan x)) against the diagonal f_{n,n}."""
-    tan = sin_cz(Fraction(1), order) / cos_cz(Fraction(1), order)
+    tan = sin_cz(1, order) / cos_cz(1, order)
     series = ((1 + tan) / (1 - tan)).sqrt()
     tri = families.triangle("f", order)
     return _egf_report(
@@ -386,9 +442,9 @@ def check_d_diagonal(order: int) -> IdentityReport:
     tan + sec is the zigzag EGF, i.e. the diagonal of the up-down-run
     triangle, and the e^(-x) factor is the derangement sieve.
     """
-    s = sin_cz(Fraction(1), order)
-    c = cos_cz(Fraction(1), order)
-    series = exp_cz(Fraction(-1), order) * (1 + s) / c
+    s = sin_cz(1, order)
+    c = cos_cz(1, order)
+    series = exp_cz(-1, order) * (1 + s) / c
     seq = families.polyseq("dpoly", order)
     return _egf_report(
         "exp(-x) (tan x + sec x) vs derangement diagonal",
@@ -465,33 +521,37 @@ def check_F_dual_certificate(order: int) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def _rq_egf_coeffs(order: int, mutate: tuple[int, int] | None = None) -> list[MultiPoly]:
-    """R_n(x;q)/n! as polynomials in (x, q); optionally bump one entry."""
+def _rq_rows(order: int, mutate: tuple[int, int] | None = None) -> list[MultiPoly]:
+    """R_n(x;q) = n! [z^n] R as polynomials in (x, q); optionally bump one entry."""
     alphabet = ("x", "q")
     tri = families.triangle("Rq", order)
-    coeffs = []
+    rows = []
     for n in range(order + 1):
         poly = tri.row_multipoly(n, "x", "q")
         if mutate is not None and mutate[0] == n:
             k = mutate[1]
             poly = poly + MultiPoly(alphabet, {(k, 0): 1})
-        coeffs.append(poly * Fraction(1, factorial(n)))
-    return coeffs
+        rows.append(poly)
+    return rows
 
 
 def pde_check(order: int, mutate: tuple[int, int] | None = None) -> bool:
-    """(1 - x^2 z) dR/dz = x(1-x^2) dR/dx + q x R, compared through order-1."""
+    """(1 - x^2 z) dR/dz = x(1-x^2) dR/dx + q x R, compared through order-1.
+
+    On EGF coefficients, n! [z^n] of the two sides is
+    R_(n+1) - n x^2 R_n = x(1-x^2) R_n' + q x R_n.
+    """
     if order < 2:
         raise ValueError("order must be at least 2")
     alphabet = ("x", "q")
-    a = _rq_egf_coeffs(order, mutate)
+    r = _rq_rows(order, mutate)
     x = MultiPoly.variable(alphabet, "x")
     q = MultiPoly.variable(alphabet, "q")
     x2 = x * x
     growth = x * (1 - x2)
     for n in range(order):
-        lhs = (n + 1) * a[n + 1] - n * x2 * a[n]
-        rhs = growth * a[n].derivative("x") + q * x * a[n]
+        lhs = r[n + 1] - n * x2 * r[n]
+        rhs = growth * r[n].derivative("x") + q * x * r[n]
         if lhs != rhs:
             return False
     return True

@@ -21,6 +21,32 @@ def test_canonical_form():
     assert f == RatFunc(Poly([1]), Poly([-2, 2]))
 
 
+@pytest.mark.parametrize(
+    "c, num",
+    [
+        (3, Poly([Fraction(2, 3), 0, Fraction(-1, 3), 2])),
+        (Fraction(-2, 3), Poly([-3, 0, Fraction(3, 2), -9])),
+    ],
+)
+def test_constant_denominator_needs_no_gcd(monkeypatch, c, num):
+    p = Poly([2, 0, -1, 6])
+    monkeypatch.setattr(
+        "altrun.fieldext.poly_gcd", lambda *_: pytest.fail("gcd with a constant denominator")
+    )
+    for f in (RatFunc(p, c), RatFunc(p) / c, RatFunc(p, Poly([c]))):
+        assert (f.num, f.den) == (num, Poly.one())
+
+
+def test_scalar_multiple_keeps_the_canonical_form():
+    f = RatFunc(Poly([2, 2]), Poly([-4, 0, 4]))
+    for c in (3, Fraction(-2, 5)):
+        g = f * c
+        assert (g.num, g.den) == (f.num * c, f.den)
+        assert g == RatFunc(f.num * c, f.den) == c * f
+    assert f * 0 == RatFunc(0)
+    assert (-f).num == -f.num and (-f).den == f.den
+
+
 def test_field_operations():
     x = RatFunc.x()
     f = (1 - x) / (1 + x)

@@ -133,6 +133,12 @@ def test_reflected_division_by_a_foreign_operand_is_a_type_error(kind, foreign):
         foreign / a
 
 
+@pytest.mark.parametrize("foreign", ["a", None, 1.5])
+def test_divmod_by_a_foreign_operand_is_a_type_error(foreign):
+    with pytest.raises(TypeError):
+        divmod(Poly.x(), foreign)
+
+
 def test_compose_and_scale():
     p = Poly([1, 0, 1])  # 1 + x^2
     assert p.compose(Poly([0, 0, 1])) == Poly([1, 0, 0, 0, 1])

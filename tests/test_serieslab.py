@@ -1,11 +1,12 @@
 """Truncated series combinators and the closed-form generating functions."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altrun import serieslab as sl
+from altrun import serieslab as sl, verify
 from altrun.errors import (
     BadConstantTerm,
     DegenerateSample,
@@ -93,6 +94,82 @@ def test_pow_addition_law(s, a, b):
     lhs = s.pow_rational(a) * s.pow_rational(b)
     rhs = s.pow_rational(a + b)
     assert lhs.coeffs == rhs.coeffs
+
+
+# Reference recurrences on ordinary coefficients [z^n], as plain Fraction lists.
+
+
+def _ref_mul(a, b):
+    return [sum((a[k] * b[n - k] for k in range(n + 1)), F(0)) for n in range(len(a))]
+
+
+def _ref_div(a, b):
+    out = []
+    for n in range(len(a)):
+        acc = a[n] - sum((out[k] * b[n - k] for k in range(n)), F(0))
+        out.append(acc / b[0])
+    return out
+
+
+def _ref_exp(s):
+    out = [F(1)]
+    for n in range(1, len(s)):
+        out.append(sum((k * s[k] * out[n - k] for k in range(1, n + 1)), F(0)) / n)
+    return out
+
+
+def _ref_log(s):
+    out = [F(0)]
+    for n in range(1, len(s)):
+        out.append(s[n] - sum((F(k, n) * out[k] * s[n - k] for k in range(1, n)), F(0)))
+    return out
+
+
+def _ref_sqrt(s):
+    out = [F(1)]
+    for n in range(1, len(s)):
+        out.append((s[n] - sum((out[k] * out[n - k] for k in range(1, n)), F(0))) / 2)
+    return out
+
+
+_tails = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=7, max_size=7
+)
+
+
+@settings(max_examples=40)
+@given(a=_tails, b=_tails, b0=st.sampled_from([F(1), F(-2), F(3, 4)]))
+def test_binomial_convolutions_match_ordinary_recurrences(a, b, b0):
+    ones, zeros = [F(1)] + a[1:], [F(0)] + a[1:]
+    b = [b0] + b[1:]
+    sa, sb = make(a), make(b)
+    assert list((sa * sb).coeffs) == _ref_mul(a, b)
+    assert list((sa / sb).coeffs) == _ref_div(a, b)
+    assert list(make(zeros).exp().coeffs) == _ref_exp(zeros)
+    assert list(make(ones).log().coeffs) == _ref_log(ones)
+    assert list(make(ones).sqrt().coeffs) == _ref_sqrt(ones)
+
+
+def test_integer_egfs_stay_integer():
+    for series in (sl.egf_T(12), sl.egf_carlitz(12), sl.egf_Rq(2, 12)):
+        assert all(type(c) is int for p in series.egf for c in p.coeffs)
+
+
+def test_series_suite_builds_each_power_once(monkeypatch):
+    built = Counter()
+    pow_rational = sl.Series.pow_rational
+
+    def counted(self, exponent):
+        built[exponent, self.order] += 1
+        return pow_rational(self, exponent)
+
+    monkeypatch.setattr(sl.Series, "pow_rational", counted)
+    sl.egf_Rq.cache_clear()
+    assert verify.run_suite("series", order=18).overall
+    sl.egf_Rq.cache_clear()
+    halves = (F(1, 2), F(-1, 2))
+    assert set(built) == {(q, 18) for q in (1, 2, 3, -1, -2) + halves}
+    assert set(built.values()) == {1}
 
 
 def test_egf_T_first_rows():
