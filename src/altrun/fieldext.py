@@ -1,9 +1,12 @@
 """Rational functions over Q and quadratic extensions Q(x)[rho]/(rho^2 - D).
 
 RatFunc is kept in canonical form (gcd-reduced, monic denominator) so that
-equality is structural.  QuadExt represents base + rad*rho where rho^2
-reduces to the carried discriminant; elements with different discriminants
-must never be mixed.
+equality is structural.  The reduction runs `polys.poly_gcd`, a primitive
+remainder sequence over Z[x] whose monic result is the unique gcd over Q[x],
+only when the denominator is not constant; negation and a nonzero scalar
+multiple keep the canonical form without one.  QuadExt represents
+base + rad*rho where rho^2 reduces to the carried discriminant; elements
+with different discriminants must never be mixed.
 """
 
 from __future__ import annotations

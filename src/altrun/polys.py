@@ -11,9 +11,12 @@ runs it, so `Fraction(4, 2)` is stored as `4` and mixed results such as
 `Fraction(1, 2) * 2` fold back to `int`.  Because `int` and `Fraction` agree
 on `==`, `hash` and `str` for integral values, equality, hashing and printed
 forms do not depend on which of the two a coefficient happens to be.  True
-division (`Poly / scalar`, the `divmod` quotient, the monic step of
-`poly_gcd`) lifts to `Fraction` first, so no path yields a float.
-`evaluate` always returns a `Fraction`.
+division (`Poly / scalar`, the `divmod` quotient) lifts to `Fraction` first,
+so no path yields a float.  The two hot kernels run in `int`: `poly_gcd`
+clears denominators and runs a primitive remainder sequence over Z[x],
+dividing by a leading coefficient only once, to make the result monic, and
+`evaluate` runs Horner's rule on the point's numerator when every
+coefficient is an `int`.  `evaluate` always returns a `Fraction`.
 
 The indeterminate is anonymous; `to_str` takes the display name (``x`` by
 default, ``q`` for q-triangles).
@@ -30,6 +33,7 @@ Fraction(0, 1)
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import NotDivisible, SupportOutOfRange, ZeroPolynomial
@@ -259,10 +263,28 @@ class Poly(ExactRing):
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, point: Scalar) -> Fraction:
-        """Evaluate at a rational point (Horner); the value is a Fraction."""
+        """Evaluate at a rational point (Horner); the value is a Fraction.
+
+        With `int` coefficients and point p/q, Horner's rule runs on p alone
+        and scales coefficient k by q^(d-k), so only the final value
+        sum_k c_k p^k q^(d-k) / q^d is a `Fraction`.
+
+        >>> Poly([1, 2, 3]).evaluate(Fraction(-1, 2)), Poly().evaluate(7)
+        (Fraction(3, 4), Fraction(0, 1))
+        """
         point = exact(point)
+        cs = self.coeffs
+        if not cs:
+            return Fraction(0)
+        if all(type(c) is int for c in cs):
+            p, q = point.numerator, point.denominator
+            acc, scale = 0, 1
+            for c in reversed(cs):
+                acc = acc * p + c * scale
+                scale *= q
+            return Fraction(acc, scale // q)
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(cs):
             acc = acc * point + c
         return Fraction(acc)
 
@@ -364,17 +386,70 @@ def divide_exact(p: Poly, d: Poly) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor via the Euclidean algorithm.
+    """Monic greatest common divisor, by the primitive Euclidean algorithm.
 
-    Each divisor is made monic first, so the division steps need no
-    rational quotients.
+    Both operands are scaled to primitive integer polynomials, and each
+    pseudo-remainder is divided by its content (the gcd of its
+    coefficients) before it becomes the next divisor.  Pseudo-division
+    multiplies the dividend by the divisor's leading coefficient instead of
+    dividing by it, so every step stays in Z[x].  Those multipliers compound:
+    without the content division the coefficient lengths grow exponentially
+    in the number of steps.  With it, each remainder is, up to sign, the
+    primitive part of a subresultant of the inputs, whose coefficients are
+    determinants of input coefficients, so their lengths stay linear in the
+    degrees (Knuth, TAOCP 2, 4.6.1, Algorithm E).  Only the last nonzero
+    remainder is divided, once, by its leading coefficient.  The monic gcd
+    over Q[x] is unique, so the result is the one the Euclidean algorithm
+    over Q gives.
+
+    >>> half, third = Fraction(1, 2), Fraction(1, 3)
+    >>> str(poly_gcd(Poly([-half, 0, half]), Poly([third, third])))
+    '1 + x'
+    >>> str(poly_gcd(Poly([-4, 0, 1]), Poly([4, -2])))
+    '-2 + x'
     """
-    while not b.is_zero():
-        b = b / b.leading_coefficient()
-        a, b = b, divmod(a, b)[1]
-    if a.is_zero():
-        return a
-    return a / a.leading_coefficient()
+    a, b = _primitive(a.coeffs), _primitive(b.coeffs)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    if not a:
+        return Poly()
+    return Poly(a) / a[-1]
+
+
+def _primitive(coeffs) -> list[int]:
+    """The coefficients times the lcm of their denominators, over their gcd."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    content = gcd(*ints)
+    if content > 1:
+        ints = [c // content for c in ints]
+    return ints
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A remainder of c*a by b over Z[x], for some nonzero integer c.
+
+    Each step scales the dividend by lc(b)/g and subtracts lead/g times the
+    shifted divisor, where g = gcd(lead, lc(b)), so the leading term
+    cancels without a division.
+    """
+    rem = list(a)
+    lb, db = b[-1], len(b) - 1
+    while len(rem) > db:
+        lead = rem.pop()
+        if lead == 0:
+            continue
+        g = gcd(lead, lb)
+        lead, mult = lead // g, lb // g
+        if mult != 1:
+            rem = [c * mult for c in rem]
+        for i, bc in enumerate(b[:-1], len(rem) - db):
+            rem[i] -= lead * bc
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
 
 
 def root_multiplicity(p: Poly, root: Scalar) -> int:

@@ -485,7 +485,9 @@ def check_F_dual_at(x0: Scalar, order: int) -> IdentityReport:
     )
 
 
-def check_F_dual_certificate(order: int) -> IdentityReport:
+def check_F_dual_certificate(
+    order: int, checked: tuple[Fraction, ...] = ()
+) -> IdentityReport:
     """Pointwise F-dual checks at enough samples to certify each degree.
 
     Degree bound: the n-th coefficient of the closed side at x0 is a
@@ -497,10 +499,16 @@ def check_F_dual_certificate(order: int) -> IdentityReport:
     within degree 2n.  deg F_n = 2n-1, so 2n+1 distinct samples certify
     row n, and the 2*order+2 samples j/(2*order+2), j = 0..2*order+1, cover
     every n <= order.
+
+    Samples in `checked` are points the caller has already passed through
+    `check_F_dual_at` at this order; they count towards the certificate
+    without T(x0, z) being built again.
     """
     sample_count = 2 * order + 2
     samples = [Fraction(j, sample_count) for j in range(sample_count)]
     for x0 in samples:
+        if x0 in checked:
+            continue
         report = check_F_dual_at(x0, order)
         if not report.ok:
             return IdentityReport(

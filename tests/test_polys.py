@@ -182,3 +182,81 @@ def test_gcd_divides_both(p, q):
         return
     divide_exact(p, g)
     divide_exact(q, g)
+
+
+_rational_polys = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=7), min_size=0, max_size=5
+).map(Poly)
+_polys = st.one_of(_small_polys, _rational_polys)
+_nonzero_polys = _polys.filter(bool)
+
+
+def _euclid_gcd(a, b):
+    """Reference: the monic Euclidean algorithm run in `Fraction` arithmetic."""
+    while not b.is_zero():
+        b = b / b.leading_coefficient()
+        a, b = b, divmod(a, b)[1]
+    if a.is_zero():
+        return a
+    return a / a.leading_coefficient()
+
+
+def _typed(p):
+    return [(type(c), c) for c in p.coeffs]
+
+
+@pytest.mark.parametrize(
+    "p, q, expected",
+    [
+        (Poly(), Poly(), Poly()),
+        (Poly(), Poly([4, -2]), Poly([-2, 1])),
+        (Poly([Fraction(-3, 2)]), Poly([0, 1, 1]), Poly([1])),
+        (Poly([-4, 0, 1]), Poly([4, -2]), Poly([-2, 1])),
+        (Poly([0, 0, -3]), Poly([0, Fraction(5, 2)]), Poly([0, 1])),
+    ],
+)
+def test_gcd_edge_operands(p, q, expected):
+    # zero, constant and negative-leading operands
+    assert _typed(poly_gcd(p, q)) == _typed(poly_gcd(q, p)) == _typed(expected)
+
+
+@given(p=_polys, q=_polys, h=_polys)
+def test_gcd_of_common_multiples(p, q, h):
+    a, b = p * h, q * h
+    g = poly_gcd(a, b)
+    assert _typed(g) == _typed(_euclid_gcd(a, b))
+    if g:
+        assert g.leading_coefficient() == 1
+    if h:
+        divide_exact(g, h / h.leading_coefficient())
+
+
+@given(num=_polys, den=_nonzero_polys, h=_nonzero_polys)
+def test_ratfunc_cancels_a_common_factor(num, den, h):
+    reduced, common = RatFunc(num, den), RatFunc(num * h, den * h)
+    assert _typed(common.num) == _typed(reduced.num)
+    assert _typed(common.den) == _typed(reduced.den)
+
+
+def _fraction_horner(p, point):
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * point + c
+    return acc
+
+
+_POINTS = (0, 1, -1, Fraction(1, 3), Fraction(-7, 2), Fraction(5, 2**64 + 1))
+
+
+@given(p=_polys)
+def test_evaluate_matches_fraction_horner(p):
+    for point in _POINTS:
+        value = p.evaluate(point)
+        assert type(value) is Fraction
+        assert value == _fraction_horner(p, point)
+
+
+@pytest.mark.parametrize("point", [0, -1, Fraction(-7, 2)])
+def test_evaluate_zero_polynomial(point):
+    value = Poly().evaluate(point)
+    assert type(value) is Fraction and value == 0

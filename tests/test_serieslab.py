@@ -250,6 +250,25 @@ def test_F_dual_degenerate():
         sl.check_F_dual_at(1, 4)
 
 
+def test_F_dual_check_builds_each_point_once(monkeypatch):
+    # verify's four points include 0 and 1/2, which are also certificate
+    # samples j/(2*order+2); each must reach check_F_dual_at only once.
+    reached = Counter()
+    check_at = sl.check_F_dual_at
+
+    def counted(x0, order):
+        reached[x0] += 1
+        return check_at(x0, order)
+
+    monkeypatch.setattr(sl, "check_F_dual_at", counted)
+    assert verify.check_series_F_dual(order=18) == (
+        True, "F-dual certificate through order 18"
+    )
+    samples = {F(j, 38) for j in range(38)}
+    assert set(reached) == samples | {F(1, 3), F(2, 5)}
+    assert set(reached.values()) == {1}
+
+
 def test_pde_check():
     assert sl.pde_check(8)
     assert sl.pde_check(2)
