@@ -15,8 +15,8 @@ division (`Poly / scalar`, the `divmod` quotient) lifts to `Fraction` first,
 so no path yields a float.  The two hot kernels run in `int`: `poly_gcd`
 clears denominators and runs a primitive remainder sequence over Z[x],
 dividing by a leading coefficient only once, to make the result monic, and
-`evaluate` runs Horner's rule on the point's numerator when every
-coefficient is an `int`.  `evaluate` always returns a `Fraction`.
+`evaluate` clears denominators and runs Horner's rule on the point's
+numerator.  `evaluate` always returns a `Fraction`.
 
 The indeterminate is anonymous; `to_str` takes the display name (``x`` by
 default, ``q`` for q-triangles).
@@ -265,28 +265,24 @@ class Poly(ExactRing):
     def evaluate(self, point: Scalar) -> Fraction:
         """Evaluate at a rational point (Horner); the value is a Fraction.
 
-        With `int` coefficients and point p/q, Horner's rule runs on p alone
-        and scales coefficient k by q^(d-k), so only the final value
-        sum_k c_k p^k q^(d-k) / q^d is a `Fraction`.
+        The coefficients are scaled to integers c_k by the lcm L of their
+        denominators.  With point p/q, Horner's rule then runs on p alone and
+        scales c_k by q^(d-k), so only the final value
+        sum_k c_k p^k q^(d-k) / (L q^d) is a `Fraction`.
 
         >>> Poly([1, 2, 3]).evaluate(Fraction(-1, 2)), Poly().evaluate(7)
         (Fraction(3, 4), Fraction(0, 1))
         """
         point = exact(point)
-        cs = self.coeffs
-        if not cs:
+        if not self.coeffs:
             return Fraction(0)
-        if all(type(c) is int for c in cs):
-            p, q = point.numerator, point.denominator
-            acc, scale = 0, 1
-            for c in reversed(cs):
-                acc = acc * p + c * scale
-                scale *= q
-            return Fraction(acc, scale // q)
-        acc = 0
-        for c in reversed(cs):
-            acc = acc * point + c
-        return Fraction(acc)
+        ints, scale = _integral(self.coeffs)
+        p, q = point.numerator, point.denominator
+        acc, qpow = 0, 1
+        for c in reversed(ints):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc, scale * qpow // q)
 
     def compose(self, inner: Poly) -> Poly:
         """Substitute another polynomial for the indeterminate."""
@@ -418,10 +414,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly(a) / a[-1]
 
 
+def _integral(coeffs) -> tuple[list[int], int]:
+    """The coefficients times the lcm of their denominators, and that lcm."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
+
+
 def _primitive(coeffs) -> list[int]:
     """The coefficients times the lcm of their denominators, over their gcd."""
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in coeffs]
+    ints = _integral(coeffs)[0]
     content = gcd(*ints)
     if content > 1:
         ints = [c // content for c in ints]

@@ -485,9 +485,10 @@ def check_F_dual_at(x0: Scalar, order: int) -> IdentityReport:
     )
 
 
-def check_F_dual_certificate(
-    order: int, checked: tuple[Fraction, ...] = ()
-) -> IdentityReport:
+_F_DUAL_SPOT_POINTS = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
+
+
+def check_F_dual_certificate(order: int) -> IdentityReport:
     """Pointwise F-dual checks at enough samples to certify each degree.
 
     Degree bound: the n-th coefficient of the closed side at x0 is a
@@ -500,14 +501,19 @@ def check_F_dual_certificate(
     row n, and the 2*order+2 samples j/(2*order+2), j = 0..2*order+1, cover
     every n <= order.
 
-    Samples in `checked` are points the caller has already passed through
-    `check_F_dual_at` at this order; they count towards the certificate
-    without T(x0, z) being built again.
+    The spot points 0, 1/2, 1/3 and 2/5 are checked first, and a failure
+    there is returned as that point's own report.  Each distinct point
+    reaches `check_F_dual_at` once, so the samples 0 and 1/2 are not
+    checked again.
     """
+    for x0 in _F_DUAL_SPOT_POINTS:
+        report = check_F_dual_at(x0, order)
+        if not report.ok:
+            return report
     sample_count = 2 * order + 2
     samples = [Fraction(j, sample_count) for j in range(sample_count)]
     for x0 in samples:
-        if x0 in checked:
+        if x0 in _F_DUAL_SPOT_POINTS:
             continue
         report = check_F_dual_at(x0, order)
         if not report.ok:

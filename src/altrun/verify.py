@@ -516,17 +516,6 @@ def _series(check_id: str, reports: Callable, default: int = 12, summary: str | 
     return _register(check_id, "order")(check)
 
 
-_F_DUAL_POINTS = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
-
-
-def _F_dual_reports(order: int):
-    # A failing point ends the check before the certificate runs, so the
-    # certificate may skip the points already passed here.
-    for x0 in _F_DUAL_POINTS:
-        yield serieslab.check_F_dual_at(x0, order)
-    yield serieslab.check_F_dual_certificate(order, checked=_F_DUAL_POINTS)
-
-
 _Q3 = (Fraction(1), Fraction(2), Fraction(1, 2))
 _Q4 = (Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2))
 
@@ -553,7 +542,9 @@ check_series_inclusion_exclusion = _series(
 )
 check_series_f_diag = _series("series/f-diagonal", lambda order: [serieslab.check_f_diagonal(order)])
 check_series_d_diag = _series("series/d-diagonal", lambda order: [serieslab.check_d_diagonal(order)])
-check_series_F_dual = _series("series/F-dual", _F_dual_reports)
+check_series_F_dual = _series(
+    "series/F-dual", lambda order: [serieslab.check_F_dual_certificate(order)]
+)
 
 
 @_register("series/pde", "order")

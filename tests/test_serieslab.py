@@ -251,8 +251,8 @@ def test_F_dual_degenerate():
 
 
 def test_F_dual_check_builds_each_point_once(monkeypatch):
-    # verify's four points include 0 and 1/2, which are also certificate
-    # samples j/(2*order+2); each must reach check_F_dual_at only once.
+    # The spot points include 0 and 1/2, which are also certificate samples
+    # j/(2*order+2); each must reach check_F_dual_at only once.
     reached = Counter()
     check_at = sl.check_F_dual_at
 
