@@ -24,7 +24,7 @@ from .gammalab import (
 from .grammar import Grammar, extract_row, named_grammar
 from .multipoly import MultiPoly
 from .polys import Poly, divide_exact, is_symmetric, root_multiplicity
-from .serieslab import Series, egf_T, egf_carlitz, egf_Rq, theta_power_r
+from .serieslab import Series, egf_R, egf_T, egf_carlitz, egf_Rq, theta_power_r
 from .verify import run_suite
 
 __version__ = "0.1.0"
@@ -43,6 +43,7 @@ __all__ = [
     "david_barton_identity_check",
     "distribution",
     "divide_exact",
+    "egf_R",
     "egf_Rq",
     "egf_T",
     "egf_carlitz",

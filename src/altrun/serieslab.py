@@ -13,6 +13,9 @@ constant term as `1 / c`, so it is supported only over Q and Q(x)[rho].
 The closed-form generating functions of the run polynomials live here; the
 ones that need sqrt(1-x^2) are computed in the quadratic extension and the
 final rho-cancellation is asserted (ExtensionResidue), never assumed.
+`egf_R` is R(x,z;q) = T(x,z)^q = exp(q log T) over Q[x,q] (rows in Z[x,q]),
+so the q-identities are checked symbolically in q rather than at sample
+values, and the F-dual identity is one exact polynomial identity per n.
 """
 
 from __future__ import annotations
@@ -20,22 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt
+from math import factorial
 from typing import Sequence
 
 from . import families
-from .errors import (
-    BadConstantTerm,
-    DegenerateSample,
-    ExtensionResidue,
-    NonInvertibleConstantTerm,
-)
+from .errors import BadConstantTerm, ExtensionResidue, NonInvertibleConstantTerm
 from .fieldext import QuadExt, RatFunc
+from .gammalab import SemiGammaForm
 from .multipoly import MultiPoly
-from .polys import ExactRing, Poly, Scalar, as_fraction
+from .polys import ExactRing, Poly, Scalar, as_fraction, exact
 
 
 _HALF = Fraction(1, 2)
+_XQ = ("x", "q")
 
 
 @lru_cache(maxsize=None)
@@ -284,20 +284,17 @@ def _reduce_to_polys(series: Series, context: str) -> Series:
     return Series(tuple(polys), series.order)
 
 
-def _T_closed(x, rho, order: int) -> Series:
-    """T(x, z) in closed form, over any ring in which rho^2 = 1 - x^2."""
+@lru_cache(maxsize=None)
+def egf_T(order: int) -> Series:
+    """Up-down-run EGF, from its closed form over Q(x)[rho], rho^2 = 1 - x^2;
+    n! times coefficient n is the T-row polynomial."""
+    x = QuadExt(RatFunc.x(), 0, _DISC_RHO)
+    rho = QuadExt.radical(_DISC_RHO)
     e1 = exp_cz(rho, order)
     e2 = exp_cz(rho * 2, order)
     num = (1 - x) * (1 + rho + (2 * x) * e1 + (1 - rho) * e2)
     den = (1 + rho - x * x) + (1 - rho - x * x) * e2
-    return num / den
-
-
-@lru_cache(maxsize=None)
-def egf_T(order: int) -> Series:
-    """Up-down-run EGF; n! times coefficient n is the T-row polynomial."""
-    x = QuadExt(RatFunc.x(), 0, _DISC_RHO)
-    return _reduce_to_polys(_T_closed(x, QuadExt.radical(_DISC_RHO), order), "egf_T")
+    return _reduce_to_polys(num / den, "egf_T")
 
 
 def egf_carlitz(order: int) -> Series:
@@ -310,14 +307,39 @@ def egf_carlitz(order: int) -> Series:
 
 
 @lru_cache(maxsize=None)
+def egf_R(order: int) -> Series:
+    """R(x, z; q) = T(x, z)^q = exp(q log T), exact in q (exponential formula).
+
+    n! times coefficient n is R_n(x; q) as a `MultiPoly` in ("x", "q").  log T
+    has integer EGF coefficients, so every row stays in Z[x, q]:
+
+    >>> str(egf_R(3).egf_coefficient(3))
+    'x*q + 3*x^2*q^2 + x^3*q + x^3*q^3'
+    """
+    log_t = egf_T(order).log()
+    return Series(
+        tuple(
+            MultiPoly(_XQ, {(k, 1): c for k, c in enumerate(p.coeffs)}) for p in log_t.egf
+        ),
+        order,
+    ).exp()
+
+
 def egf_Rq(q0: Scalar, order: int) -> Series:
-    """T(x,z)^q0; n! times coefficient n is R_n(x; q0)."""
-    return egf_T(order).pow_rational(q0)
+    """T(x,z)^q0, the rows of `egf_R` at q = q0; n! times coefficient n is R_n(x; q0)."""
+    q0 = exact(q0)
+    rows = []
+    for row in egf_R(order).egf:
+        coeffs = [0] * (order + 1)
+        for (k, j), c in row.terms.items():
+            coeffs[k] += c * q0**j
+        rows.append(Poly(coeffs))
+    return Series(tuple(rows), order)
 
 
 def egf_f(order: int) -> Series:
     """EGF of the half-gamma polynomials: R(2x, z; 1/2) = sqrt(T(2x, z))."""
-    base = egf_Rq(Fraction(1, 2), order)
+    base = egf_Rq(_HALF, order)
     return Series(tuple(p.scale_x(2) for p in base.egf), order)
 
 
@@ -368,14 +390,11 @@ def check_egf_carlitz(order: int) -> IdentityReport:
     )
 
 
-def check_egf_Rq(q0: Scalar, order: int) -> IdentityReport:
-    q0 = as_fraction(q0)
+def check_egf_Rq(order: int) -> IdentityReport:
+    """The rows of `egf_R` against the Rq triangle, as polynomials in (x, q)."""
     tri = families.triangle("Rq", order)
     return _egf_report(
-        f"egf_Rq at q={q0} vs Rq triangle",
-        egf_Rq(q0, order),
-        lambda n: families.q_specialize(tri.row(n), q0),
-        order,
+        "R = exp(q log T) vs Rq triangle in (x, q)", egf_R(order), tri.row_multipoly, order
     )
 
 
@@ -391,15 +410,18 @@ def check_derangement_egf(order: int) -> IdentityReport:
     )
 
 
-def check_parity_symmetry(q0: Scalar, order: int) -> IdentityReport:
-    """Coefficientwise R(x, z; -q) = R(-x, z; q)."""
-    q0 = as_fraction(q0)
-    neg = egf_Rq(-q0, order)
-    pos = egf_Rq(q0, order)
+def _negated(row: MultiPoly, slot: int) -> MultiPoly:
+    """`row` with the letter in `slot` replaced by its negative."""
+    return MultiPoly(row.alphabet, {e: -c if e[slot] % 2 else c for e, c in row.terms.items()})
+
+
+def check_parity_symmetry(order: int) -> IdentityReport:
+    """Coefficientwise R(x, z; -q) = R(-x, z; q), as polynomials in (x, q)."""
+    rows = egf_R(order).egf
     return _egf_report(
-        f"R(x,z;-q) = R(-x,z;q) at q={q0}",
-        neg,
-        lambda n: pos.egf_coefficient(n).scale_x(-1),
+        "R(x,z;-q) = R(-x,z;q) in (x, q)",
+        Series(tuple(_negated(row, 1) for row in rows), order),
+        lambda n: _negated(rows[n], 0),
         order,
     )
 
@@ -454,79 +476,36 @@ def check_d_diagonal(order: int) -> IdentityReport:
     )
 
 
-def _T_series_at(x0: Fraction, order: int) -> Series:
-    """T(x0, z) over Q for a rational point where 1 - x0^2 is a square of a
-    rational (automatic here because x0 enters as 2t/(1+t^2))."""
-    return _T_closed(x0, _fraction_sqrt(1 - x0 * x0), order)
+def _F_dual(order: int) -> Series:
+    """sqrt(T(2x/(1+x^2), (1+x^2) z)) as a series over Q[x].
 
-
-def _fraction_sqrt(q: Fraction) -> Fraction:
-    if q < 0:
-        raise DegenerateSample(f"negative discriminant {q}")
-    pn, pd = isqrt(q.numerator), isqrt(q.denominator)
-    if pn * pn != q.numerator or pd * pd != q.denominator:
-        raise DegenerateSample(f"{q} is not a rational square")
-    return Fraction(pn, pd)
-
-
-def check_F_dual_at(x0: Scalar, order: int) -> IdentityReport:
-    """sqrt(T(2x/(1+x^2), (1+x^2) z)) evaluated at rational x0 against F_n(x0)."""
-    x0 = as_fraction(x0)
-    if x0 in (1, -1):
-        raise DegenerateSample("x0 = +-1 degenerates the substitution")
-    u = 2 * x0 / (1 + x0 * x0)
-    inner = _T_series_at(u, order).scale_z(1 + x0 * x0)
-    seq = families.polyseq("Fpoly", order)
-    return _egf_report(
-        f"sqrt(T(2x/(1+x^2),(1+x^2)z)) at x0={x0}",
-        inner.sqrt(),
-        lambda n: seq.poly(n).evaluate(x0),
-        order,
+    With r_(n,k) = n! [z^n x^k] sqrt(T(x, z)), n! [z^n] of it is
+    sum_k r_(n,k) (2x)^k (1+x^2)^(n-k): a semi-gamma reassembly of row n of
+    `egf_f`, whose coefficients are the r_(n,k) 2^k.
+    """
+    rows = egf_f(order).egf
+    return Series(
+        tuple(SemiGammaForm(0, n, p.coeffs).reassemble() for n, p in enumerate(rows)), order
     )
 
 
-_F_DUAL_SPOT_POINTS = (Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
-
-
 def check_F_dual_certificate(order: int) -> IdentityReport:
-    """Pointwise F-dual checks at enough samples to certify each degree.
+    """sqrt(T(2x/(1+x^2), (1+x^2) z)) against the Fpoly rows, as polynomials."""
+    seq = families.polyseq("Fpoly", order)
+    return _egf_report(
+        "sqrt(T(2x/(1+x^2),(1+x^2)z)) vs Fpoly rows", _F_dual(order), seq.poly, order
+    )
 
-    Degree bound: the n-th coefficient of the closed side at x0 is a
-    polynomial in x0 of degree at most 2n.  The inner series has n-th EGF
-    coefficient (1+x^2)^n T_n(2x/(1+x^2)) = sum_k T_(n,k) (2x)^k
-    (1+x^2)^(n-k), of degree at most 2n, and constant term 1.  The n-th EGF
-    coefficient of its square root is a rational combination of products
-    s_j1 ... s_jm of those coefficients with j1 + ... + jm = n, so it stays
-    within degree 2n.  deg F_n = 2n-1, so 2n+1 distinct samples certify
-    row n, and the 2*order+2 samples j/(2*order+2), j = 0..2*order+1, cover
-    every n <= order.
 
-    The spot points 0, 1/2, 1/3 and 2/5 are checked first, and a failure
-    there is returned as that point's own report.  Each distinct point
-    reaches `check_F_dual_at` once, so the samples 0 and 1/2 are not
-    checked again.
-    """
-    for x0 in _F_DUAL_SPOT_POINTS:
-        report = check_F_dual_at(x0, order)
-        if not report.ok:
-            return report
-    sample_count = 2 * order + 2
-    samples = [Fraction(j, sample_count) for j in range(sample_count)]
-    for x0 in samples:
-        if x0 in _F_DUAL_SPOT_POINTS:
-            continue
-        report = check_F_dual_at(x0, order)
-        if not report.ok:
-            return IdentityReport(
-                "F-dual certificate",
-                order,
-                False,
-                f"x0={x0}: {report.first_mismatch}",
-                (),
-                (),
-            )
-    return IdentityReport(
-        "F-dual certificate", order, True, None, tuple(samples), ()
+def check_F_dual_at(x0: Scalar, order: int) -> IdentityReport:
+    """`check_F_dual_certificate` with both sides evaluated at rational x0."""
+    x0 = as_fraction(x0)
+    seq = families.polyseq("Fpoly", order)
+    return _egf_report(
+        f"sqrt(T(2x/(1+x^2),(1+x^2)z)) at x0={x0}",
+        Series(tuple(p.evaluate(x0) for p in _F_dual(order).egf), order),
+        lambda n: seq.poly(n).evaluate(x0),
+        order,
     )
 
 
@@ -537,14 +516,13 @@ def check_F_dual_certificate(order: int) -> IdentityReport:
 
 def _rq_rows(order: int, mutate: tuple[int, int] | None = None) -> list[MultiPoly]:
     """R_n(x;q) = n! [z^n] R as polynomials in (x, q); optionally bump one entry."""
-    alphabet = ("x", "q")
     tri = families.triangle("Rq", order)
     rows = []
     for n in range(order + 1):
         poly = tri.row_multipoly(n, "x", "q")
         if mutate is not None and mutate[0] == n:
             k = mutate[1]
-            poly = poly + MultiPoly(alphabet, {(k, 0): 1})
+            poly = poly + MultiPoly(_XQ, {(k, 0): 1})
         rows.append(poly)
     return rows
 
@@ -557,10 +535,9 @@ def pde_check(order: int, mutate: tuple[int, int] | None = None) -> bool:
     """
     if order < 2:
         raise ValueError("order must be at least 2")
-    alphabet = ("x", "q")
     r = _rq_rows(order, mutate)
-    x = MultiPoly.variable(alphabet, "x")
-    q = MultiPoly.variable(alphabet, "q")
+    x = MultiPoly.variable(_XQ, "x")
+    q = MultiPoly.variable(_XQ, "q")
     x2 = x * x
     growth = x * (1 - x2)
     for n in range(order):

@@ -1,19 +1,13 @@
 """Truncated series combinators and the closed-form generating functions."""
 
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from altrun import serieslab as sl, verify
-from altrun.errors import (
-    BadConstantTerm,
-    DegenerateSample,
-    ExtensionResidue,
-    NonInvertibleConstantTerm,
-)
-from altrun.families import polyseq, q_specialize, triangle
+from altrun import families, serieslab as sl, verify
+from altrun.errors import BadConstantTerm, ExtensionResidue, NonInvertibleConstantTerm
+from altrun.families import PolySeq, Triangle, polyseq, q_specialize, triangle
 from altrun.fieldext import QuadExt, RatFunc
 from altrun.polys import Poly
 
@@ -153,23 +147,57 @@ def test_binomial_convolutions_match_ordinary_recurrences(a, b, b0):
 def test_integer_egfs_stay_integer():
     for series in (sl.egf_T(12), sl.egf_carlitz(12), sl.egf_Rq(2, 12)):
         assert all(type(c) is int for p in series.egf for c in p.coeffs)
+    assert all(type(c) is int for row in sl.egf_R(12).egf for c in row.terms.values())
 
 
-def test_series_suite_builds_each_power_once(monkeypatch):
-    built = Counter()
-    pow_rational = sl.Series.pow_rational
-
-    def counted(self, exponent):
-        built[exponent, self.order] += 1
-        return pow_rational(self, exponent)
-
-    monkeypatch.setattr(sl.Series, "pow_rational", counted)
-    sl.egf_Rq.cache_clear()
+def test_series_suite_builds_R_once_per_order():
+    sl.egf_R.cache_clear()
     assert verify.run_suite("series", order=18).overall
-    sl.egf_Rq.cache_clear()
-    halves = (F(1, 2), F(-1, 2))
-    assert set(built) == {(q, 18) for q in (1, 2, 3, -1, -2) + halves}
-    assert set(built.values()) == {1}
+    info = sl.egf_R.cache_info()
+    sl.egf_R.cache_clear()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+_RQ_BUMP = Poly([-1, 2]) * Poly([-1, 1]) * Poly([-2, 1]) * Poly([-3, 1])  # (2q-1)(q-1)(q-2)(q-3)
+
+
+@pytest.mark.parametrize("order", [12, 18])
+def test_egf_Rq_check_sees_a_bump_vanishing_at_four_q(monkeypatch, order):
+    # The bump vanishes at q = 1, 2, 3, 1/2, so comparing T^q with the
+    # triangle at those four values of q cannot see it.
+    original = families.triangle
+
+    def bumped(name, max_n):
+        tri = original(name, max_n)
+        if name != "Rq" or tri.max_n < 5:
+            return tri
+        rows = list(tri.rows)
+        rows[5] = rows[5][:2] + (rows[5][2] + _RQ_BUMP,) + rows[5][3:]
+        return Triangle(tri.name, tri.min_n, tuple(rows))
+
+    monkeypatch.setattr(families, "triangle", bumped)
+    ok, detail = verify.check_series_Rq(order=order)
+    assert not ok
+    assert "n=5:" in detail
+
+
+def test_F_dual_names_the_bumped_row(monkeypatch):
+    order = 12
+    original = families.polyseq
+
+    def bumped(name, max_n):
+        seq = original(name, max_n)
+        if name != "Fpoly" or seq.max_n < order:
+            return seq
+        polys = list(seq.polys)
+        top = polys[order].degree
+        polys[order] = polys[order] + Poly.from_terms({top: 1})
+        return PolySeq(seq.name, seq.min_n, tuple(polys))
+
+    monkeypatch.setattr(families, "polyseq", bumped)
+    ok, detail = verify.check_series_F_dual(order=order)
+    assert not ok
+    assert f"n={order}:" in detail
 
 
 def test_egf_T_first_rows():
@@ -243,30 +271,6 @@ def test_F_dual_trivial_point():
     report = sl.check_F_dual_at(0, 8)
     assert report.ok
     assert list(report.closed)[1:] == [F(0)] * 8
-
-
-def test_F_dual_degenerate():
-    with pytest.raises(DegenerateSample):
-        sl.check_F_dual_at(1, 4)
-
-
-def test_F_dual_check_builds_each_point_once(monkeypatch):
-    # The spot points include 0 and 1/2, which are also certificate samples
-    # j/(2*order+2); each must reach check_F_dual_at only once.
-    reached = Counter()
-    check_at = sl.check_F_dual_at
-
-    def counted(x0, order):
-        reached[x0] += 1
-        return check_at(x0, order)
-
-    monkeypatch.setattr(sl, "check_F_dual_at", counted)
-    assert verify.check_series_F_dual(order=18) == (
-        True, "F-dual certificate through order 18"
-    )
-    samples = {F(j, 38) for j in range(38)}
-    assert set(reached) == samples | {F(1, 3), F(2, 5)}
-    assert set(reached.values()) == {1}
 
 
 def test_pde_check():

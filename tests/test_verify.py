@@ -124,14 +124,14 @@ CORRUPTED_ROW_FAILS = {
 # where the closed form and the corrupted row part, printed both ways.
 CORRUPTED_ROW_SERIES_DETAILS = {
     "Fpoly": {
-        "series/F-dual": "sqrt(T(2x/(1+x^2),(1+x^2)z)) at x0=1/2: n=4: 1131/128 != 1195/128",
+        "series/F-dual": "sqrt(T(2x/(1+x^2),(1+x^2)z)) vs Fpoly rows: n=4: x + 7*x^2 + 29*x^3 + 31*x^4 + 29*x^5 + 7*x^6 + x^7 != 2*x + 7*x^2 + 29*x^3 + 31*x^4 + 29*x^5 + 7*x^6 + x^7",
         "series/theta": "theta-operator identity fails",
     },
     "R": {
         "series/egf-carlitz": "egf_carlitz vs reversed R rows: n=3: 10 + 12*x + 2*x^2 != 10 + 12*x + 3*x^2",
     },
     "Rq": {
-        "series/egf-Rq": "egf_Rq at q=1 vs Rq triangle: n=4: x + 7*x^2 + 11*x^3 + 5*x^4 != 2*x + 7*x^2 + 11*x^3 + 5*x^4",
+        "series/egf-Rq": "R = exp(q log T) vs Rq triangle in (x, q): n=4: x*q + 7*x^2*q^2 + 5*x^3*q + 6*x^3*q^3 + 4*x^4*q^2 + x^4*q^4 != x + x*q + 7*x^2*q^2 + 5*x^3*q + 6*x^3*q^3 + 4*x^4*q^2 + x^4*q^4",
         "series/pde": "PDE fails on the true triangle",
     },
     "T": {
