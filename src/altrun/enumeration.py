@@ -9,12 +9,22 @@ Classes of objects (all streamed in lexicographic order of the printed word):
     stirling       words over {1,1,...,n,n} with the nesting condition
     dual_stirling  images of Stirling words under the doubling map
 
-Every stream is valid by construction: the Stirling generator only ever
-closes the innermost open pair or opens a value above it, and once at most
-one value is left to open it writes the remaining completions out directly,
-still in lexicographic order.  The dual Stirling stream is the same walk
-writing 2j when it opens j and 2j-1 when it closes j, so no word is checked
-again; `dual_map` validates its argument because it takes outside input.
+Every stream but `perm` is one walk: Python writes the letters of a prefix
+in increasing order until only a few letters are left to choose, and then
+appends to the prefix each entry of a table that lists every completion of
+that state in lexicographic order.  The table is built once per distinct
+state, so most words cost one tuple concatenation, and it is dropped when
+the stream ends or is closed.  The tail starts with at most two Stirling
+values left to open, four derangement positions or three signed absolute
+values left to place; derangement tails are `itertools.permutations`
+filtered against their positions.
+
+Every stream is valid by construction: the Stirling walk only ever closes
+the innermost open pair or opens a value above it, and the completions of a
+state with one value left to open have a closed form.  The dual Stirling
+stream is the same walk writing 2j when it opens j and 2j-1 when it closes
+j, so no word is checked again; `dual_map` validates its argument because it
+takes outside input.
 
 Statistics are plain functions on tuples; `stat` dispatches by class name and
 `distribution` folds a statistic tuple into an exact polynomial.  These
@@ -30,9 +40,9 @@ import math
 import os
 from bisect import bisect_left
 from collections import Counter
-from itertools import permutations
+from itertools import permutations, tee
 from operator import eq, gt, lt
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidStirlingWord, SizeLimit, StatClassMismatch
 from .multipoly import MultiPoly
@@ -98,76 +108,108 @@ def _check_budget(kind: str, n: int) -> None:
         raise SizeLimit(f"{kind} n={n} has {count} objects, budget is {budget}")
 
 
-def _signed_words(n: int, first_positive: bool) -> Iterator[Word]:
-    values = [v for v in range(-n, n + 1) if v != 0]
-    word: list[int] = []
-    used = [False] * (n + 1)
+def _tail_stream(root, children: Callable, cut: Callable, complete: Callable) -> Iterator[Word]:
+    """Every word below `root`, in lexicographic order.
 
-    def rec() -> Iterator[Word]:
-        if len(word) == n:
-            yield tuple(word)
+    `children(state)` yields (letter, child state) by increasing letter.  The
+    walk writes letters until `cut(state)` holds; then `complete(state)`
+    lists every completion of that state in lexicographic order, once per
+    distinct state, and each is appended to the prefix.  The table of
+    completions lives only as long as the stream.
+    """
+
+    def walk(state, prefix: Word) -> Iterator[tuple[Word, object]]:
+        if cut(state):
+            yield prefix, state
             return
-        for v in values:
-            if used[abs(v)]:
-                continue
-            if first_positive and not word and v < 0:
-                continue
-            used[abs(v)] = True
-            word.append(v)
-            yield from rec()
-            word.pop()
-            used[abs(v)] = False
+        for letter, child in children(state):
+            yield from walk(child, (*prefix, letter))
 
-    return rec()
+    memo: dict = {}
+    try:
+        for prefix, state in walk(root, ()):
+            tails = memo.get(state)
+            if tails is None:
+                tails = memo[state] = complete(state)
+            yield from map(prefix.__add__, tails)
+    finally:
+        memo.clear()
+
+
+def _signed_words(n: int, first_positive: bool) -> Iterator[Word]:
+    # A state is the tuple of absolute values not yet written; the word is
+    # at its first letter exactly when all n are left.
+    def children(left: Word) -> Iterator[tuple[int, Word]]:
+        negatives = () if first_positive and len(left) == n else [-a for a in reversed(left)]
+        for v in (*negatives, *left):
+            yield v, tuple(a for a in left if a != abs(v))
+
+    def complete(left: Word) -> list[Word]:
+        if not left:
+            return [()]
+        return [(v, *tail) for v, child in children(left) for tail in complete(child)]
+
+    return _tail_stream(tuple(range(1, n + 1)), children, lambda left: len(left) <= 3, complete)
+
+
+def _derangements(n: int) -> Iterator[Word]:
+    # A state is (next position, values left).  The walk skips fixed points;
+    # with four values left, their permutations are filtered against the
+    # four positions left.
+    def children(state: tuple[int, Word]) -> Iterator[tuple[int, tuple[int, Word]]]:
+        i, left = state
+        for j, v in enumerate(left):
+            if v != i:
+                yield v, (i + 1, left[:j] + left[j + 1:])
+
+    def complete(state: tuple[int, Word]) -> list[Word]:
+        i, left = state
+        places = range(i, n + 1)
+        return [p for p in permutations(left) if not any(map(eq, p, places))]
+
+    return _tail_stream((1, tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 4, complete)
 
 
 def _stirling_words(n: int, double: bool = False) -> Iterator[Word]:
-    # Open values nest (LIFO): a value opened inside the pair of t must
-    # exceed t, so the smallest legal next letter is always "close the top",
-    # then unused values above the top in increasing order.  With `double`
-    # the walk writes the dual Stirling word: 2j opens j and 2j-1 closes it,
-    # which keeps the order, since both letters of a smaller value are
-    # smaller than both letters of a larger one.
+    # A state is (stack of open values, values not yet opened).  Open values
+    # nest (LIFO): a value opened inside the pair of t must exceed t, so the
+    # smallest legal next letter is always "close the top", then unopened
+    # values above the top in increasing order.  With `double` the walk
+    # writes the dual Stirling word: 2j opens j and 2j-1 closes it, which
+    # keeps the order, since both letters of a smaller value are smaller
+    # than both letters of a larger one.  The walk stops once at most two
+    # values are left to open, and the completions of that state are built
+    # once: one step at a time down to one value left, where they have a
+    # closed form.
     opens = [2 * v if double else v for v in range(n + 1)]
     closes = [2 * v - 1 if double else v for v in range(n + 1)]
-    word: list[int] = []
-    stack: list[int] = []
-    used = [False] * (n + 1)
 
-    def rec(unopened: int) -> Iterator[Word]:
-        if unopened <= 1:
-            # The rest is forced but for where the last value u opens: after
-            # closing k stack entries, with every entry above u closed.  More
-            # closes first is the smaller letter, so k runs downwards.
-            rest = [closes[v] for v in reversed(stack)]
-            if not unopened:
-                yield (*word, *rest)
-                return
-            u = used.index(False, 1)
-            pair = (opens[u], closes[u])
-            above = len(stack) - bisect_left(stack, u)
-            for k in range(len(stack), above - 1, -1):
-                yield (*word, *rest[:k], *pair, *rest[k:])
-            return
+    def children(state: tuple[Word, Word]) -> Iterator[tuple[int, tuple[Word, Word]]]:
+        stack, left = state
         top = stack[-1] if stack else 0
         if stack:
-            word.append(closes[top])
-            stack.pop()
-            yield from rec(unopened)
-            stack.append(top)
-            word.pop()
-        for v in range(top + 1, n + 1):
-            if used[v]:
-                continue
-            used[v] = True
-            stack.append(v)
-            word.append(opens[v])
-            yield from rec(unopened - 1)
-            word.pop()
-            stack.pop()
-            used[v] = False
+            yield closes[top], (stack[:-1], left)
+        for i, v in enumerate(left):
+            if v > top:
+                yield opens[v], ((*stack, v), left[:i] + left[i + 1:])
 
-    return rec(n)
+    def complete(state: tuple[Word, Word]) -> list[Word]:
+        stack, left = state
+        if len(left) > 1:
+            return [(letter, *tail) for letter, child in children(state)
+                    for tail in complete(child)]
+        # The rest is forced but for where the last value u opens: after
+        # closing k stack entries, with every entry above u closed.  More
+        # closes first is the smaller letter, so k runs downwards.
+        rest = [closes[v] for v in reversed(stack)]
+        if not left:
+            return [tuple(rest)]
+        u = left[0]
+        pair = (opens[u], closes[u])
+        above = len(stack) - bisect_left(stack, u)
+        return [(*rest[:k], *pair, *rest[k:]) for k in range(len(stack), above - 1, -1)]
+
+    return _tail_stream(((), tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 2, complete)
 
 
 def generate(kind: str, n: int) -> Iterator[Word]:
@@ -182,8 +224,7 @@ def generate(kind: str, n: int) -> Iterator[Word]:
     if kind == "signed_hat":
         return _signed_words(n, first_positive=True)
     if kind == "derangement":
-        values = tuple(range(1, n + 1))
-        return (w for w in permutations(values) if not any(map(eq, w, values)))
+        return _derangements(n)
     if kind == "stirling":
         return _stirling_words(n)
     if kind == "dual_stirling":
@@ -540,7 +581,7 @@ def distribution(
 ) -> MultiPoly:
     """Sum over all objects of prod variable^statistic, exactly.
 
-    `stats` is a sequence of (statistic name, variable name) pairs.
+    `stats` is a nonempty sequence of (statistic name, variable name) pairs.
 
     >>> str(distribution("perm", 3, [("altrun", "x")]))
     '2*x + 4*x^2'
@@ -555,10 +596,9 @@ def distribution(
                 f"statistic {stat_name!r} undefined for class {kind!r}"
             )
         fns.append(table[stat_name])
+    if not fns:
+        raise ValueError("no statistic given")
     variables = tuple(var for _, var in stats)
-    words = generate(kind, n)
-    if len(fns) == 1:
-        counts = {(k,): v for k, v in Counter(map(fns[0], words)).items()}
-    else:
-        counts = Counter(tuple(fn(word) for fn in fns) for word in words)
+    streams = tee(generate(kind, n), len(fns))
+    counts = Counter(zip(*(map(fn, words) for fn, words in zip(fns, streams))))
     return MultiPoly(variables, counts)

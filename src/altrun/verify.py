@@ -494,51 +494,50 @@ def _report_check(report: serieslab.IdentityReport) -> tuple[bool, str]:
     return False, f"{report.identity}: {report.first_mismatch}"
 
 
-def _series(check_id: str, reports: Callable, default: int = 12, summary: str | None = None,
-            cap: int | None = None) -> Callable:
-    """Register `reports(order)` (serieslab identity reports) as an order check.
+def _series(check_id: str, report: Callable) -> Callable:
+    """Register `report(order)`, one serieslab identity report, as an order check.
 
-    The first failing report fails the check.  A pass is described by
-    `summary` (formatted with the order), or else by the last report.  A
-    negative order is an empty range and fails before any report is built.
+    A negative order is an empty range and fails before the report is built.
     """
 
-    def check(order: int = default, **_) -> tuple[bool, str]:
-        if cap is not None:
-            order = min(order, cap)
+    def check(order: int = 12, **_) -> tuple[bool, str]:
         if order < 0:
             return _passed(0, order, check_id)
-        for report in reports(order):
-            if not report.ok:
-                return _report_check(report)
-        return (True, summary.format(order)) if summary else _report_check(report)
+        return _report_check(report(order))
 
     return _register(check_id, "order")(check)
 
 
-_Q3 = (Fraction(1), Fraction(2), Fraction(1, 2))
-
-check_series_T = _series("series/egf-T", lambda order: [serieslab.check_egf_T(order)])
+check_series_T = _series("series/egf-T", lambda order: serieslab.check_egf_T(order))
 check_series_carlitz = _series(
-    "series/egf-carlitz", lambda order: [serieslab.check_egf_carlitz(order)]
+    "series/egf-carlitz", lambda order: serieslab.check_egf_carlitz(order)
 )
-check_series_Rq = _series("series/egf-Rq", lambda order: [serieslab.check_egf_Rq(order)])
-check_series_f = _series("series/egf-f", lambda order: [serieslab.check_egf_f(order)])
+check_series_Rq = _series("series/egf-Rq", lambda order: serieslab.check_egf_Rq(order))
+check_series_f = _series("series/egf-f", lambda order: serieslab.check_egf_f(order))
 check_series_derangement = _series(
-    "series/derangement", lambda order: [serieslab.check_derangement_egf(order)]
+    "series/derangement", lambda order: serieslab.check_derangement_egf(order)
 )
 check_series_parity = _series(
-    "series/parity", lambda order: [serieslab.check_parity_symmetry(order)]
+    "series/parity", lambda order: serieslab.check_parity_symmetry(order)
 )
-check_series_inclusion_exclusion = _series(
-    "series/inclusion-exclusion",
-    lambda order: (serieslab.check_inclusion_exclusion(q0, order) for q0 in _Q3),
-    default=8, summary="inclusion-exclusion EGF for q in (1, 2, 1/2), order {}", cap=8,
-)
-check_series_f_diag = _series("series/f-diagonal", lambda order: [serieslab.check_f_diagonal(order)])
-check_series_d_diag = _series("series/d-diagonal", lambda order: [serieslab.check_d_diagonal(order)])
+
+
+@_register("series/inclusion-exclusion", "order")
+def check_series_inclusion_exclusion(order: int = 8, **_) -> tuple[bool, str]:
+    order = min(order, 8)
+    if order < 0:
+        return _passed(0, order, "series/inclusion-exclusion")
+    for q0 in (Fraction(1), Fraction(2), Fraction(1, 2)):
+        report = serieslab.check_inclusion_exclusion(q0, order)
+        if not report.ok:
+            return _report_check(report)
+    return True, f"inclusion-exclusion EGF for q in (1, 2, 1/2), order {order}"
+
+
+check_series_f_diag = _series("series/f-diagonal", lambda order: serieslab.check_f_diagonal(order))
+check_series_d_diag = _series("series/d-diagonal", lambda order: serieslab.check_d_diagonal(order))
 check_series_F_dual = _series(
-    "series/F-dual", lambda order: [serieslab.check_F_dual_certificate(order)]
+    "series/F-dual", lambda order: serieslab.check_F_dual_certificate(order)
 )
 
 

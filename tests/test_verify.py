@@ -37,7 +37,8 @@ def test_negative_order_is_an_empty_series_range():
         check_id for check_id, fn in verify._CHECKS["series"]
         if fn.__qualname__.startswith("_series.")
     }
-    assert len(built) == 10
+    assert len(built) == 9
+    built.add("series/inclusion-exclusion")
     for c in report.checks:
         if c.check_id in built:
             assert not c.ok
