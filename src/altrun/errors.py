@@ -57,9 +57,5 @@ class ExtensionResidue(AltrunError):
     """A series coefficient kept a radical part that should have cancelled."""
 
 
-class DegenerateSample(AltrunError):
-    """Sample point where the rational parametrization degenerates."""
-
-
 class UnknownFamily(AltrunError):
     """No triangle or polynomial family with this name."""

@@ -43,6 +43,7 @@ Entry = int | Poly
 
 _Q = Poly.x()  # the q indeterminate for Rq entries
 _ONE_X = Poly([1, 1])  # 1 + x
+_XYQ = ("x", "y", "q")  # the letters of `inclusion_exclusion_Rxy`
 
 
 @dataclass(frozen=True)
@@ -334,20 +335,18 @@ def polyseq(name: str, max_n: int) -> PolySeq:
 # ---------------------------------------------------------------------------
 
 
-def inclusion_exclusion_Rxy(n: int, q0: Scalar) -> MultiPoly:
-    """sum_i C(n,i) (q x y - q x)^i R_{n-i}(x; q0), a polynomial in (x, y)."""
-    q0 = exact(q0)
-    alphabet = ("x", "y")
+def inclusion_exclusion_Rxy(n: int) -> MultiPoly:
+    """sum_i C(n,i) (q x (y-1))^i R_{n-i}(x; q), a polynomial in (x, y, q).
+
+    >>> str(inclusion_exclusion_Rxy(2))
+    'x*q + x^2*y^2*q^2'
+    """
     tri = triangle("Rq", n)
-    total = MultiPoly.zero(alphabet)
-    x = MultiPoly.variable(alphabet, "x")
-    y = MultiPoly.variable(alphabet, "y")
-    step = (y - 1) * x * q0
+    x, y, q = (MultiPoly.variable(_XYQ, v) for v in _XYQ)
+    step = q * x * (y - 1)
+    total = MultiPoly.zero(_XYQ)
     for i in range(n + 1):
-        rpart = q_specialize(tri.row(n - i), q0)
-        total = total + comb(n, i) * (step**i) * MultiPoly.from_poly(
-            rpart, "x", alphabet
-        )
+        total = total + comb(n, i) * step**i * tri.row_multipoly(n - i).extended(_XYQ)
     return total
 
 

@@ -10,11 +10,13 @@ part expands uniquely as
 and the two are linked by lambda_k = sum_i C(m-i, k-i) 2^(k-i) gamma_i.
 The David-Barton transform pairs a gamma vector M(n, .) with the polynomial
 sum_k 2^(2*delta-k) M(n,k) x^k (1+x)^(n-delta-k); the surd form of the same
-identity is certified at rational points via x = (1-t^2)/(1+t^2), w = t.
+identity becomes one polynomial equality in t under x = (1-t^2)/(1+t^2),
+w = t, and is decided exactly.
 
-All three are sums sum_k c_k x^k B^(m-k) over a gamma-type basis, with
-B = (1+x)^2, 1+x^2 or 1+x: `_basis_sum` assembles every one of them and
-`_basis_coeffs` is the one expansion back into such a basis.
+All of these are sums sum_k c_k u^k v^(m-k): u = x with v = (1+x)^2, 1+x^2
+or 1+x for the three assemblies, and u = 1-t^2, v = 1+t^2 and u = 1-t,
+v = 1+t for the two sides of the surd identity.  `_basis_sum` builds every
+one of them and `_basis_coeffs` is the one expansion back into such a basis.
 """
 
 from __future__ import annotations
@@ -24,36 +26,42 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .errors import DegenerateSample, NotSymmetric
-from .polys import Poly, Scalar, as_fraction, divide_exact, exact, is_symmetric
+from .errors import NotSymmetric
+from .polys import Poly, Scalar, divide_exact, exact, is_symmetric
 
+_X = Poly.x()
 _ONE_X = Poly([1, 1])
 _ONE_X_SQ = Poly([1, 2, 1])
 _ONE_X2 = Poly([1, 0, 1])
 
 
-def _basis_sum(coeffs: Sequence[Scalar], base: Poly, m: int) -> Poly:
-    """sum_k c_k x^k base^(m-k), by Horner's rule in base.
+def _basis_sum(coeffs: Sequence[Scalar], u: Poly, v: Poly, m: int) -> Poly:
+    """sum_k c_k u^k v^(m-k), by Horner's rule in v.
 
-    A nonzero c_k with k > m would need a negative power of base and raises
+    A nonzero c_k with k > m would need a negative power of v and raises
     ValueError; a zero c_k there is skipped.
 
-    >>> str(_basis_sum((1, 2), _ONE_X_SQ, 1))
+    >>> str(_basis_sum((1, 2), _X, _ONE_X_SQ, 1))
     '1 + 4*x + x^2'
+    >>> str(_basis_sum((1, 1), Poly([1, -1]), _ONE_X, 2))
+    '2 + 2*x'
     """
-    count = max(m + 1, 0)  # the entries that get a power of base
+    count = max(m + 1, 0)  # the entries that get a power of v
     for k in range(count, len(coeffs)):
         if coeffs[k] != 0:
-            raise ValueError(f"negative ({base}) exponent at k={k}")
+            raise ValueError(f"negative ({v}) exponent at k={k}")
     head = coeffs[:count]
     acc = Poly.zero()
-    for k, c in enumerate(head):
-        acc = acc * base + Poly.from_terms({k: c})
-    return acc * base ** (count - len(head))
+    u_power = Poly.one()
+    for c in head:
+        acc = acc * v + u_power * c
+        u_power = u_power * u
+    return acc * v ** (count - len(head))
 
 
 def _basis_coeffs(p: Poly, base: Poly, m: int) -> tuple[Scalar, ...]:
-    """The c_0..c_m with p = sum_k c_k x^k base^(m-k); the inverse of `_basis_sum`.
+    """The c_0..c_m with p = sum_k c_k x^k base^(m-k); the inverse of
+    `_basis_sum` with u = x and v = base.
 
     base has constant term 1, so once the terms below k are subtracted, c_k
     is the coefficient of x^k in what is left.  Anything left after c_m
@@ -83,7 +91,7 @@ class GammaForm:
 
     def reassemble(self) -> Poly:
         d = self.base_degree
-        return _basis_sum(self.gammas, _ONE_X_SQ, d // 2) * _ONE_X ** (d % 2)
+        return _basis_sum(self.gammas, _X, _ONE_X_SQ, d // 2) * _ONE_X ** (d % 2)
 
     def is_positive(self) -> bool:
         return all(g >= 0 for g in self.gammas)
@@ -98,7 +106,7 @@ class SemiGammaForm:
     lambdas: tuple[Scalar, ...]
 
     def reassemble(self) -> Poly:
-        return _basis_sum(self.lambdas, _ONE_X2, self.half_degree) * _ONE_X**self.nu
+        return _basis_sum(self.lambdas, _X, _ONE_X2, self.half_degree) * _ONE_X**self.nu
 
     def is_positive(self) -> bool:
         return all(lam >= 0 for lam in self.lambdas)
@@ -173,78 +181,38 @@ def david_barton_assemble(m_row: GammaForm, n: int, delta: int) -> Poly:
             f"gamma form has base degree {m_row.base_degree}, expected {n + delta}"
         )
     weighted = [Fraction(2) ** (2 * delta - k) * g for k, g in enumerate(m_row.gammas)]
-    return _basis_sum(weighted, _ONE_X, n - delta)
+    return _basis_sum(weighted, _X, _ONE_X, n - delta)
 
 
 def default_samples(count: int) -> list[Fraction]:
-    """Distinct rationals in (0, 1) for certificate evaluation."""
+    """The distinct rationals 1/2, 1/3, ..., 1/(count+1) in (0, 1)."""
     return [Fraction(1, j + 2) for j in range(count)]
 
 
-def certificate_sample_count(n_degree: int, n: int, delta: int) -> int:
-    """Number of distinct samples that turns the surd check into a proof.
+def david_barton_identity_check(m_poly: Poly, n_poly: Poly, n: int, delta: int) -> bool:
+    """Decide N_n(x) = ((1+x)/2)^(n-delta) (1+w)^(n+delta) M_n((1-w)/(1+w)).
 
-    With x = (1-t^2)/(1+t^2) and w = t, write D = max(deg N, n - delta, 0).
-    Clearing the (1+t^2) powers turns both sides of the identity into
-    polynomials in t:
+    Substituting x = (1-t^2)/(1+t^2) forces w = t and (1+x)/2 = 1/(1+t^2).
+    With D = max(deg N, n - delta, 0), clearing the powers of 1+t^2 turns
+    the identity into one equality of polynomials in t:
 
-        L(t) = (1+t^2)^D N(x)                                  deg <= 2D
-        R(t) = (1+t^2)^(D-n+delta) (1+t)^(n+delta) M((1-t)/(1+t))
-                                                   deg <= 2D - n + 3*delta
+        (1+t^2)^D N(x) = (1+t^2)^(D-n+delta) sum_k m_k (1-t)^k (1+t)^(n+delta-k)
 
-    the second bound holding when deg M <= n + delta.  L - R therefore has
-    degree at most B = max(2D, 2D - n + 3*delta), and agreement at B + 1
-    distinct values of t proves L = R, hence the identity.
+    Both sums are `_basis_sum`s, and the result is exact: True is a proof.
+    An M of degree above n + delta is rejected (False): the right-hand side
+    then has a pole at t = -1 that the left-hand side lacks, so the identity
+    cannot hold.
 
-    >>> certificate_sample_count(3, 4, 1)
-    7
+    >>> a2, r2 = Poly([0, 1, 1]), Poly([0, 2])
+    >>> david_barton_identity_check(a2, r2, 2, 1), david_barton_identity_check(a2, r2 * 2, 2, 1)
+    (True, False)
     """
     if not 0 <= delta <= n:
         raise ValueError(f"need 0 <= delta <= n, got n={n}, delta={delta}")
-    d = max(n_degree, n - delta, 0)
-    return max(2 * d, 2 * d - n + 3 * delta) + 1
-
-
-def david_barton_identity_check(
-    m_poly: Poly,
-    n_poly: Poly,
-    n: int,
-    delta: int,
-    t_samples: Sequence[Scalar],
-) -> bool:
-    """Certify N_n(x) = ((1+x)/2)^(n-delta) (1+w)^(n+delta) M_n((1-w)/(1+w)).
-
-    Each sample t in (0, 1) is made exact through x = (1-t^2)/(1+t^2), which
-    forces w = t.  A True result is a proof: it needs at least
-    `certificate_sample_count(deg N, n, delta)` distinct samples (the degree
-    bound is written there), and with fewer the pair is rejected (False).
-    An M of degree above n + delta is rejected too: the right-hand side
-    then has a pole at t = -1 that the left-hand side lacks, so the
-    identity cannot hold.
-    """
-    if not t_samples:
-        raise ValueError("need at least one sample")
-    if len(t_samples) < certificate_sample_count(n_poly.degree, n, delta):
-        return False
     if m_poly.degree > n + delta:
         return False
-    seen = set()
-    for t in t_samples:
-        t = as_fraction(t)
-        if not 0 < t < 1:
-            raise ValueError(f"sample {t} outside (0, 1)")
-        if t in seen:
-            raise ValueError(f"duplicate sample {t}")
-        seen.add(t)
-        x = (1 - t * t) / (1 + t * t)
-        if x == -1:
-            raise DegenerateSample(f"x = -1 at t = {t}")
-        lhs = n_poly.evaluate(x)
-        rhs = (
-            ((1 + x) / 2) ** (n - delta)
-            * (1 + t) ** (n + delta)
-            * m_poly.evaluate((1 - t) / (1 + t))
-        )
-        if lhs != rhs:
-            return False
-    return True
+    d = max(n_poly.degree, n - delta, 0)
+    # polynomials in t: 1 - t^2, 1 + t^2, 1 - t, 1 + t
+    lhs = _basis_sum(n_poly.coeffs, Poly([1, 0, -1]), _ONE_X2, d)
+    rhs = _basis_sum(m_poly.coeffs, Poly([1, -1]), _ONE_X, n + delta)
+    return lhs == rhs * _ONE_X2 ** (d - n + delta)

