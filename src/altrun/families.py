@@ -13,10 +13,13 @@ in q):
     f      half-gamma coefficients of F_n (nonnegative), from n=0
 
 Polynomial sequences: bpoly, cpoly, dpoly, gammapoly, Fpoly, eulerA, eulerB.
+Fpoly and gammapoly are the row polynomials of the F and gamma triangles,
+and eulerA and eulerB are assembled from the a and b rows, so each of those
+recurrences is written once, in its triangle spec.
 
 All values are exact; rows are produced by the defining recurrences, so the
 triangles double as the recurrence oracle for the grammar and enumeration
-routes.
+routes (`next_row` applies one step to a row computed elsewhere).
 
 Each family keeps one growable list of the rows (or polynomials) computed so
 far.  A call extends that list from its last entry up to the requested index
@@ -204,6 +207,15 @@ def _next_row(spec: _TriangleSpec, n: int, rows: list) -> tuple[Entry, ...]:
     return tuple(row)
 
 
+def next_row(name: str, n: int, prev: tuple[Entry, ...]) -> tuple[Entry, ...]:
+    """Row n of the named triangle from `prev`, taken as row n-1, by its recurrence.
+
+    >>> next_row("R", 3, (0, 2))
+    (0, 2, 4)
+    """
+    return _next_row(_TRIANGLES[name], n, [prev])
+
+
 def triangle(name: str, max_n: int) -> Triangle:
     """Rows min_n..max_n of the named triangle, extending the row store."""
     if name not in _TRIANGLES:
@@ -273,16 +285,6 @@ def _step_dpoly(n: int, prev: list[Poly]) -> Poly:
     )
 
 
-def _step_gammapoly(n: int, prev: list[Poly]) -> Poly:
-    g, m = prev[-1], n - 1
-    return (2 * m + 1) * Poly.x() * g + Poly([0, 1, -4]) * g.derivative()
-
-
-def _step_Fpoly(n: int, prev: list[Poly]) -> Poly:
-    F, m = prev[-1], n - 1
-    return Poly([0, 1, 2 * m]) * F + Poly([0, 1, 0, -1]) * F.derivative()
-
-
 def eulerian(n: int, kind: str) -> Poly:
     """Type A or B Eulerian polynomial assembled from its gamma expansion.
 
@@ -307,8 +309,8 @@ _POLYSEQS: dict[str, _SeqSpec] = {
     "bpoly": _SeqSpec(0, (Poly.one(), _ONE_X), _step_bpoly),
     "cpoly": _SeqSpec(1, (Poly.x(),), _step_cpoly),
     "dpoly": _SeqSpec(0, (Poly.one(), Poly.zero()), _step_dpoly),
-    "gammapoly": _SeqSpec(0, (Poly.one(),), _step_gammapoly),
-    "Fpoly": _SeqSpec(0, (Poly.one(),), _step_Fpoly),
+    "gammapoly": _SeqSpec(0, (), lambda n, prev: triangle("gamma", n).row_poly(n)),
+    "Fpoly": _SeqSpec(0, (), lambda n, prev: triangle("F", n).row_poly(n)),
     "eulerA": _SeqSpec(1, (), lambda n, prev: eulerian(n, "A")),
     "eulerB": _SeqSpec(1, (), lambda n, prev: eulerian(n, "B")),
 }

@@ -62,20 +62,6 @@ class MultiPoly(ExactRing):
         exps = tuple(1 if a == name else 0 for a in alphabet)
         return cls(alphabet, {exps: 1})
 
-    @classmethod
-    def from_poly(cls, p: Poly, var: str, alphabet: Iterable[str] | None = None) -> MultiPoly:
-        alphabet = tuple(alphabet) if alphabet is not None else (var,)
-        if var not in alphabet:
-            raise UnknownSymbol(var)
-        slot = alphabet.index(var)
-        terms = {}
-        for k, c in enumerate(p.coeffs):
-            if c != 0:
-                exps = [0] * len(alphabet)
-                exps[slot] = k
-                terms[tuple(exps)] = c
-        return cls(alphabet, terms)
-
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:

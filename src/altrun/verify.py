@@ -257,18 +257,11 @@ check_halfgamma_triangle = _rows(
 
 @_rows("grammar/qrun-recurrence", 0, 10, "extracted entries satisfy the q-recurrence")
 def check_qrun_recurrence(hi: int):
-    """Row n read off D^n(a) follows from row n-1 by the q-recurrence."""
-    rows = [grammar.entries_as_polys(row, "q") for _, row in _images("qrun", "a", "b", "c", hi)]
-    q = Poly.x()
-
-    def entry(n, k):
-        return rows[n][k] if 0 <= k < len(rows[n]) else Poly.zero()
-
+    """Row n read off D^n(a) is the Rq step applied to row n-1 read off D^(n-1)(a)."""
+    images = _images("qrun", "a", "b", "c", hi)
+    rows = [tuple(grammar.entries_as_polys(row, "q")) for _, row in images]
     for n in range(1, hi + 1):
-        yield n, rows[n], [
-            k * entry(n - 1, k) + q * entry(n - 1, k - 1) + (n - k + 1) * entry(n - 1, k - 2)
-            for k in range(n + 1)
-        ]
+        yield n, rows[n], families.next_row("Rq", n, rows[n - 1])
 
 
 def _convolution(t_tri: families.Triangle, n: int) -> Poly:
@@ -409,19 +402,14 @@ def check_c_from_b(hi: int):
         yield n, divide_exact(Poly.x() * bseq.poly(n), Poly([1, 1])), cseq.poly(n)
 
 
-@_rows(
-    "triangles/F-two-reassemblies", 1, 12,
-    "gamma and f reassemblies give F_n; gammapoly gives the gamma rows",
-)
+@_rows("triangles/F-two-reassemblies", 1, 12, "gamma and f reassemblies give F_n")
 def check_F_two_reassemblies(hi: int):
     g_tri = families.triangle("gamma", hi)
     f_tri = families.triangle("f", hi)
     seq = families.polyseq("Fpoly", hi)
-    gseq = families.polyseq("gammapoly", hi)
     for n in range(1, hi + 1):
         yield n, gammalab.GammaForm(2 * n, g_tri.row(n)).reassemble(), seq.poly(n)
         yield n, gammalab.SemiGammaForm(0, n, f_tri.row(n)).reassemble(), seq.poly(n)
-        yield n, gseq.poly(n), g_tri.row_poly(n)
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_inclusion_exclusion_at_y_zero_gives_derangements():
     d = polyseq("dpoly", 3)
     for n in (0, 2, 3):
         at_y0 = inclusion_exclusion_Rxy(n).substitute({"y": 0, "q": 1}, _XYQ)
-        assert at_y0 == MultiPoly.from_poly(d.poly(n), "x", _XYQ)
+        assert at_y0 == MultiPoly(_XYQ, {(k, 0, 0): c for k, c in enumerate(d.poly(n).coeffs)})
 
 
 def test_inclusion_exclusion_at_y_one_gives_Rq():
@@ -182,7 +182,8 @@ def test_inclusion_exclusion_at_q0_is_the_scalar_binomial_sum():
         for n in range(7):
             binomial_sum = MultiPoly.zero(("x", "y"))
             for i in range(n + 1):
-                r = MultiPoly.from_poly(q_specialize(rq.row(n - i), q0), "x", ("x", "y"))
+                r_coeffs = q_specialize(rq.row(n - i), q0).coeffs
+                r = MultiPoly(("x", "y"), {(k, 0): c for k, c in enumerate(r_coeffs)})
                 binomial_sum = binomial_sum + comb(n, i) * step**i * r
             at_q0 = inclusion_exclusion_Rxy(n).substitute({"q": q0}, _XYQ)
             assert at_q0 == binomial_sum.extended(_XYQ)
@@ -230,11 +231,19 @@ def test_triangle_entry_outside_is_zero():
     assert tri.entry(-1, 0) == 0
 
 
-def test_gammapoly_matches_gamma_triangle_rows():
-    g_tri = triangle("gamma", 12)
-    g_seq = polyseq("gammapoly", 12)
-    for n in range(13):
-        assert g_tri.row_poly(n) == g_seq.poly(n)
+def test_Fpoly_and_gammapoly_follow_the_paper_operators():
+    """F_(m+1) = (x+2mx^2)F_m + (x-x^3)F_m' and g_(m+1) = (2m+1)x g_m + (x-4x^2)g_m'.
+
+    The sequences are the row polynomials of the F and gamma triangles; the
+    paper states their recurrences in this operator form.
+    """
+    F_seq, g_seq = polyseq("Fpoly", 40), polyseq("gammapoly", 40)
+    F, g = Poly.one(), Poly.one()
+    for m in range(41):
+        assert F_seq.poly(m) == F
+        assert g_seq.poly(m) == g
+        F = Poly([0, 1, 2 * m]) * F + Poly([0, 1, 0, -1]) * F.derivative()
+        g = (2 * m + 1) * Poly.x() * g + Poly([0, 1, -4]) * g.derivative()
 
 
 def test_R_rows_log_concave():

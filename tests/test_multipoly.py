@@ -53,7 +53,7 @@ def test_evaluate():
 
 def test_as_poly_roundtrip():
     p = Poly([0, 2, 0, 5])
-    mp = MultiPoly.from_poly(p, "x", ("x", "q"))
+    mp = MultiPoly(("x", "q"), {(1, 0): 2, (3, 0): 5})
     assert mp.as_poly("x") == p
     with pytest.raises(ValueError):
         (mp * MultiPoly.variable(("x", "q"), "q")).as_poly("x")

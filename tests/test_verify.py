@@ -1,5 +1,7 @@
 """Suite-level behaviour of `verify.run_suite`."""
 
+import dataclasses
+
 import pytest
 
 from altrun import families, verify
@@ -51,7 +53,12 @@ CORRUPTED_ROW_FAILS = {
     "F": {
         "enumeration/dual-stirling-altrun-vs-F",
         "enumeration/stirling-fap-vs-F",
+        "gamma/roundtrip",
+        "gamma/split-halves",
         "grammar/plateau-F-triangle",
+        "series/F-dual",
+        "series/theta",
+        "triangles/F-two-reassemblies",
     },
     "Fpoly": {
         "gamma/roundtrip",
@@ -118,16 +125,19 @@ CORRUPTED_ROW_FAILS = {
         "triangles/F-two-reassemblies",
     },
     "gamma": {"grammar/gamma-triangle", "triangles/F-two-reassemblies"},
-    "gammapoly": {"triangles/F-two-reassemblies"},
+}
+
+_F_SERIES_DETAILS = {
+    "series/F-dual": "sqrt(T(2x/(1+x^2),(1+x^2)z)) vs Fpoly rows: n=4: x + 7*x^2 + 29*x^3 + 31*x^4 + 29*x^5 + 7*x^6 + x^7 != 2*x + 7*x^2 + 29*x^3 + 31*x^4 + 29*x^5 + 7*x^6 + x^7",
+    "series/theta": "theta-operator identity fails",
 }
 
 # The detail of each failing series check in those runs: the first index
 # where the closed form and the corrupted row part, printed both ways.
+# Fpoly is the row polynomial of F, so both corruptions read the same.
 CORRUPTED_ROW_SERIES_DETAILS = {
-    "Fpoly": {
-        "series/F-dual": "sqrt(T(2x/(1+x^2),(1+x^2)z)) vs Fpoly rows: n=4: x + 7*x^2 + 29*x^3 + 31*x^4 + 29*x^5 + 7*x^6 + x^7 != 2*x + 7*x^2 + 29*x^3 + 31*x^4 + 29*x^5 + 7*x^6 + x^7",
-        "series/theta": "theta-operator identity fails",
-    },
+    "F": _F_SERIES_DETAILS,
+    "Fpoly": _F_SERIES_DETAILS,
     "R": {
         "series/egf-carlitz": "egf_carlitz vs reversed R rows: n=3: 10 + 12*x + 2*x^2 != 10 + 12*x + 3*x^2",
     },
@@ -194,6 +204,28 @@ def test_corrupted_row_fails_exactly_the_checks_comparing_it(monkeypatch, family
     assert set(failed) == CORRUPTED_ROW_FAILS[family]
     series = {k: v for k, v in failed.items() if k.startswith("series/")}
     assert series == CORRUPTED_ROW_SERIES_DETAILS.get(family, {})
+
+
+# One recurrence coefficient bumped by one in `families._TRIANGLES`, and
+# checks that must fail because they read that recurrence: through Fpoly,
+# the row polynomial of F, or through `next_row`.
+BUMPED_COEFF_FAILS = {
+    ("F", "coeff_b"): {"series/F-dual", "series/theta", "triangles/F-two-reassemblies"},
+    ("Rq", "coeff_c"): {"grammar/qrun-recurrence"},
+}
+
+
+@pytest.mark.parametrize("family, coeff", sorted(BUMPED_COEFF_FAILS))
+def test_bumped_recurrence_coefficient_fails_the_checks_reading_it(monkeypatch, family, coeff):
+    spec = families._TRIANGLES[family]
+    rule = getattr(spec, coeff)
+    bumped = dataclasses.replace(spec, **{coeff: lambda n, k: rule(n, k) + 1})
+    monkeypatch.setitem(families._TRIANGLES, family, bumped)
+    monkeypatch.setattr(families, "_TRIANGLE_ROWS", {})
+    monkeypatch.setattr(families, "_POLYSEQ_POLYS", {})
+    report = verify.run_suite("all", max_n=5, order=6)
+    failed = {c.check_id for c in report.checks if not c.ok}
+    assert BUMPED_COEFF_FAILS[family, coeff] <= failed
 
 
 def test_raising_check_fails_on_its_own(monkeypatch):
