@@ -70,9 +70,8 @@ def _cmd_triangle(args) -> int:
     elif args.format == "json":
         print(families.export_json(tri))
     else:
-        qvar = "q"
         for n in range(tri.min_n, tri.max_n + 1):
-            cells = " | ".join(families.entry_str(e, qvar) for e in tri.row(n))
+            cells = " | ".join(map(families.entry_str, tri.row(n)))
             print(f"n={n}: {cells}")
     return 0
 

@@ -46,6 +46,7 @@ Entry = int | Poly
 
 _Q = Poly.x()  # the q indeterminate for Rq entries
 _ONE_X = Poly([1, 1])  # 1 + x
+_XQ = ("x", "q")  # the letters of `Triangle.row_multipoly`
 _XYQ = ("x", "y", "q")  # the letters of `inclusion_exclusion_Rxy`
 
 
@@ -78,16 +79,15 @@ class Triangle:
         """Assemble sum_k entry * x^k (numeric families only)."""
         return Poly(self.row(n))
 
-    def row_multipoly(self, n: int, xvar: str = "x", qvar: str = "q") -> MultiPoly:
-        """Assemble sum_k entry_k(q) * x^k as a polynomial in (xvar, qvar)."""
-        alphabet = (xvar, qvar)
+    def row_multipoly(self, n: int) -> MultiPoly:
+        """Assemble sum_k entry_k(q) * x^k as a polynomial in (x, q)."""
         terms = {}
         for k, entry in enumerate(self.row(n)):
             qpoly = entry if isinstance(entry, Poly) else Poly.constant(entry)
             for j, c in enumerate(qpoly.coeffs):
                 if c != 0:
                     terms[(k, j)] = c
-        return MultiPoly(alphabet, terms)
+        return MultiPoly(_XQ, terms)
 
 
 @dataclass(frozen=True)
@@ -357,9 +357,9 @@ def inclusion_exclusion_Rxy(n: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def entry_str(entry: Entry, qvar: str = "q") -> str:
+def entry_str(entry: Entry) -> str:
     if isinstance(entry, Poly):
-        return entry.to_str(qvar)
+        return entry.to_str("q")
     return str(entry)
 
 

@@ -16,6 +16,11 @@ final rho-cancellation is asserted (ExtensionResidue), never assumed.
 `egf_R` is R(x,z;q) = T(x,z)^q = exp(q log T) over Q[x,q] (rows in Z[x,q]),
 so the q-identities are checked symbolically in q rather than at sample
 values, and the F-dual identity is one exact polynomial identity per n.
+
+Each `check_*` identity returns its two sides as tuples indexed by n: n!
+times coefficient n of the closed form, and the row it must equal.  `verify`
+compares them in the loop it uses for every row check, which states the
+range of n it compared.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from math import factorial
 from typing import Sequence
 
 from . import families
+from .families import _XQ, _XYQ
 from .errors import BadConstantTerm, ExtensionResidue, NonInvertibleConstantTerm
 from .fieldext import QuadExt, RatFunc
 from .gammalab import SemiGammaForm
@@ -35,8 +41,6 @@ from .polys import ExactRing, Poly, Scalar, as_fraction, exact
 
 
 _HALF = Fraction(1, 2)
-_XQ = ("x", "q")
-_XYQ = ("x", "y", "q")
 
 
 @lru_cache(maxsize=None)
@@ -350,65 +354,38 @@ def egf_derangement(order: int) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# identity reports
+# identities: the two sides, as tuples indexed by n, for verify to compare
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: str
-    order: int
-    ok: bool
-    first_mismatch: str | None
-    closed: tuple
-    expected: tuple
+def _sides(series: Series, want) -> tuple[tuple, tuple]:
+    """n! times coefficient n of `series`, and `want(n)`, for n = 0..order."""
+    return series.egf, tuple(want(n) for n in range(series.order + 1))
 
 
-def _egf_report(identity: str, series: Series, want, order: int) -> IdentityReport:
-    """n! times coefficient n of `series` against `want(n)`, for n = 0..order."""
-    closed = tuple(series.egf_coefficient(n) for n in range(order + 1))
-    expected = tuple(want(n) for n in range(order + 1))
-    first = None
-    for n, (got, exp) in enumerate(zip(closed, expected)):
-        if got != exp:
-            first = f"n={n}: {got} != {exp}"
-            break
-    return IdentityReport(identity, order, first is None, first, closed, expected)
+def check_egf_T(order: int) -> tuple[tuple, tuple]:
+    return _sides(egf_T(order), families.triangle("T", order).row_poly)
 
 
-def check_egf_T(order: int) -> IdentityReport:
-    tri = families.triangle("T", order)
-    return _egf_report("egf_T vs T triangle", egf_T(order), tri.row_poly, order)
-
-
-def check_egf_carlitz(order: int) -> IdentityReport:
+def check_egf_carlitz(order: int) -> tuple[tuple, tuple]:
     tri = families.triangle("R", order + 1)
-    return _egf_report(
-        "egf_carlitz vs reversed R rows",
+    return _sides(
         egf_carlitz(order),
         lambda n: Poly.from_terms({n - k: v for k, v in enumerate(tri.row(n + 1))}),
-        order,
     )
 
 
-def check_egf_Rq(order: int) -> IdentityReport:
+def check_egf_Rq(order: int) -> tuple[tuple, tuple]:
     """The rows of `egf_R` against the Rq triangle, as polynomials in (x, q)."""
-    tri = families.triangle("Rq", order)
-    return _egf_report(
-        "R = exp(q log T) vs Rq triangle in (x, q)", egf_R(order), tri.row_multipoly, order
-    )
+    return _sides(egf_R(order), families.triangle("Rq", order).row_multipoly)
 
 
-def check_egf_f(order: int) -> IdentityReport:
-    tri = families.triangle("f", order)
-    return _egf_report("sqrt(T(2x,z)) vs f triangle", egf_f(order), tri.row_poly, order)
+def check_egf_f(order: int) -> tuple[tuple, tuple]:
+    return _sides(egf_f(order), families.triangle("f", order).row_poly)
 
 
-def check_derangement_egf(order: int) -> IdentityReport:
-    seq = families.polyseq("dpoly", order)
-    return _egf_report(
-        "exp(-xz) T(x,z) vs derangement polynomials", egf_derangement(order), seq.poly, order
-    )
+def check_derangement_egf(order: int) -> tuple[tuple, tuple]:
+    return _sides(egf_derangement(order), families.polyseq("dpoly", order).poly)
 
 
 def _negated(row: MultiPoly, slot: int) -> MultiPoly:
@@ -416,46 +393,34 @@ def _negated(row: MultiPoly, slot: int) -> MultiPoly:
     return MultiPoly(row.alphabet, {e: -c if e[slot] % 2 else c for e, c in row.terms.items()})
 
 
-def check_parity_symmetry(order: int) -> IdentityReport:
+def check_parity_symmetry(order: int) -> tuple[tuple, tuple]:
     """Coefficientwise R(x, z; -q) = R(-x, z; q), as polynomials in (x, q)."""
     rows = egf_R(order).egf
-    return _egf_report(
-        "R(x,z;-q) = R(-x,z;q) in (x, q)",
-        Series(tuple(_negated(row, 1) for row in rows), order),
-        lambda n: _negated(rows[n], 0),
-        order,
-    )
+    return tuple(_negated(row, 1) for row in rows), tuple(_negated(row, 0) for row in rows)
 
 
-def check_inclusion_exclusion(order: int) -> IdentityReport:
+def check_inclusion_exclusion(order: int) -> tuple[tuple, tuple]:
     """exp(q x (y-1) z) R(x,z;q) against the binomial sums over Rq rows, in (x, y, q).
 
-    Compared through order min(order, 8), as the products in three letters
-    grow fast; R is the leading part of `egf_R(order)`, the same series the
-    other q-checks at this order read.
+    Both sides run over n = 0..min(order, 8), as the products in three
+    letters grow fast; R is the leading part of `egf_R(order)`, the same
+    series the other q-checks at this order read.
     """
     cap = min(order, 8)
     x, y, q = (MultiPoly.variable(_XYQ, v) for v in _XYQ)
     r = Series(tuple(row.extended(_XYQ) for row in egf_R(order).egf[: cap + 1]), cap)
-    return _egf_report(
-        "exp(qx(y-1)z) R(x,z;q) vs inclusion-exclusion in (x, y, q)",
-        exp_cz(q * x * (y - 1), cap) * r,
-        families.inclusion_exclusion_Rxy,
-        cap,
-    )
+    return _sides(exp_cz(q * x * (y - 1), cap) * r, families.inclusion_exclusion_Rxy)
 
 
-def check_f_diagonal(order: int) -> IdentityReport:
+def check_f_diagonal(order: int) -> tuple[tuple, tuple]:
     """sqrt((1+tan x)/(1-tan x)) against the diagonal f_{n,n}."""
     tan = sin_cz(1, order) / cos_cz(1, order)
     series = ((1 + tan) / (1 - tan)).sqrt()
     tri = families.triangle("f", order)
-    return _egf_report(
-        "sqrt((1+tan)/(1-tan)) vs f diagonal", series, lambda n: Fraction(tri.entry(n, n)), order
-    )
+    return _sides(series, lambda n: Fraction(tri.entry(n, n)))
 
 
-def check_d_diagonal(order: int) -> IdentityReport:
+def check_d_diagonal(order: int) -> tuple[tuple, tuple]:
     """e^(-x) (tan x + sec x) against the diagonal d_{n,n}.
 
     tan + sec is the zigzag EGF, i.e. the diagonal of the up-down-run
@@ -465,12 +430,7 @@ def check_d_diagonal(order: int) -> IdentityReport:
     c = cos_cz(1, order)
     series = exp_cz(-1, order) * (1 + s) / c
     seq = families.polyseq("dpoly", order)
-    return _egf_report(
-        "exp(-x) (tan x + sec x) vs derangement diagonal",
-        series,
-        lambda n: seq.poly(n).coefficient(n),
-        order,
-    )
+    return _sides(series, lambda n: seq.poly(n).coefficient(n))
 
 
 def _F_dual(order: int) -> Series:
@@ -486,24 +446,16 @@ def _F_dual(order: int) -> Series:
     )
 
 
-def check_F_dual_certificate(order: int) -> IdentityReport:
+def check_F_dual_certificate(order: int) -> tuple[tuple, tuple]:
     """sqrt(T(2x/(1+x^2), (1+x^2) z)) against the Fpoly rows, as polynomials."""
-    seq = families.polyseq("Fpoly", order)
-    return _egf_report(
-        "sqrt(T(2x/(1+x^2),(1+x^2)z)) vs Fpoly rows", _F_dual(order), seq.poly, order
-    )
+    return _sides(_F_dual(order), families.polyseq("Fpoly", order).poly)
 
 
-def check_F_dual_at(x0: Scalar, order: int) -> IdentityReport:
+def check_F_dual_at(x0: Scalar, order: int) -> tuple[tuple, tuple]:
     """`check_F_dual_certificate` with both sides evaluated at rational x0."""
+    closed, expected = check_F_dual_certificate(order)
     x0 = as_fraction(x0)
-    seq = families.polyseq("Fpoly", order)
-    return _egf_report(
-        f"sqrt(T(2x/(1+x^2),(1+x^2)z)) at x0={x0}",
-        Series(tuple(p.evaluate(x0) for p in _F_dual(order).egf), order),
-        lambda n: seq.poly(n).evaluate(x0),
-        order,
-    )
+    return tuple(p.evaluate(x0) for p in closed), tuple(p.evaluate(x0) for p in expected)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +468,7 @@ def _rq_rows(order: int, mutate: tuple[int, int] | None = None) -> list[MultiPol
     tri = families.triangle("Rq", order)
     rows = []
     for n in range(order + 1):
-        poly = tri.row_multipoly(n, "x", "q")
+        poly = tri.row_multipoly(n)
         if mutate is not None and mutate[0] == n:
             k = mutate[1]
             poly = poly + MultiPoly(_XQ, {(k, 0): 1})

@@ -221,7 +221,7 @@ def test_distribution_examples():
         [0, 1, 1, 1]
     )
     rq3 = en.distribution("perm", 3, [("crun", "x"), ("cyc", "q")])
-    assert rq3 == triangle("Rq", 3).row_multipoly(3, "x", "q")
+    assert rq3 == triangle("Rq", 3).row_multipoly(3)
 
 
 def test_distribution_total_mass():

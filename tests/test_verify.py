@@ -46,6 +46,41 @@ def test_negative_order_is_an_empty_series_range():
             assert c.detail.startswith("empty range n=0..-1"), c
 
 
+def test_qrun_recurrence_fails_an_empty_range():
+    # Its rows start at n=1, so at max_n=0 it compared nothing.
+    report = verify.run_suite("grammar", max_n=0)
+    qrun = next(c for c in report.checks if c.check_id == "grammar/qrun-recurrence")
+    assert not qrun.ok
+    assert qrun.detail.startswith("empty range n=1..0")
+
+
+def test_compare_fails_rows_that_yield_nothing():
+    ok, detail = verify._compare(0, 3, "no rows", lambda hi: iter(()))
+    assert not ok
+    assert detail == "empty range n=0..3, nothing checked: no rows"
+
+
+def test_compare_states_the_range_it_compared():
+    def capped(hi):
+        return ((n, n, n) for n in range(min(hi, 8) + 1))
+
+    assert verify._compare(0, 12, "capped rows", capped) == (True, "capped rows for n=0..8")
+    assert verify._compare(0, 5, "capped rows", capped) == (True, "capped rows for n=0..5")
+
+
+# The checks with a body of their own; every other check is a rows generator
+# registered by `_rows` or a pair of series sides registered by `_series`,
+# and so is compared by `_compare`.
+OWN_BODY = {"series/pde", "series/theta", "gamma/lambda-vs-semigamma"}
+
+
+def test_every_other_check_is_compared_by_one_loop():
+    for entries in verify._CHECKS.values():
+        for check_id, fn in entries:
+            factory = fn.__qualname__.split(".", 1)[0]
+            assert (factory in ("_rows", "_series")) == (check_id not in OWN_BODY), check_id
+
+
 # Checks that fail when entry k=1 of row 4 of one family is bumped by one,
 # at max_n=5, order=6: exactly the checks that compare that row by a second
 # route.  A registry row that stops comparing drops out of its set.
@@ -128,7 +163,7 @@ CORRUPTED_ROW_FAILS = {
 }
 
 _F_SERIES_DETAILS = {
-    "series/F-dual": "sqrt(T(2x/(1+x^2),(1+x^2)z)) vs Fpoly rows: n=4: x + 7*x^2 + 29*x^3 + 31*x^4 + 29*x^5 + 7*x^6 + x^7 != 2*x + 7*x^2 + 29*x^3 + 31*x^4 + 29*x^5 + 7*x^6 + x^7",
+    "series/F-dual": "mismatch at n=4: x + 7*x^2 + 29*x^3 + 31*x^4 + 29*x^5 + 7*x^6 + x^7 vs 2*x + 7*x^2 + 29*x^3 + 31*x^4 + 29*x^5 + 7*x^6 + x^7",
     "series/theta": "theta-operator identity fails",
 }
 
@@ -139,21 +174,21 @@ CORRUPTED_ROW_SERIES_DETAILS = {
     "F": _F_SERIES_DETAILS,
     "Fpoly": _F_SERIES_DETAILS,
     "R": {
-        "series/egf-carlitz": "egf_carlitz vs reversed R rows: n=3: 10 + 12*x + 2*x^2 != 10 + 12*x + 3*x^2",
+        "series/egf-carlitz": "mismatch at n=3: 10 + 12*x + 2*x^2 vs 10 + 12*x + 3*x^2",
     },
     "Rq": {
-        "series/egf-Rq": "R = exp(q log T) vs Rq triangle in (x, q): n=4: x*q + 7*x^2*q^2 + 5*x^3*q + 6*x^3*q^3 + 4*x^4*q^2 + x^4*q^4 != x + x*q + 7*x^2*q^2 + 5*x^3*q + 6*x^3*q^3 + 4*x^4*q^2 + x^4*q^4",
-        "series/inclusion-exclusion": "exp(qx(y-1)z) R(x,z;q) vs inclusion-exclusion in (x, y, q): n=4: x*q + 3*x^2*q^2 + 5*x^3*q + 4*x^2*y*q^2 + 4*x^4*y*q^2 + 6*x^3*y^2*q^3 + x^4*y^4*q^4 != x + x*q + 3*x^2*q^2 + 5*x^3*q + 4*x^2*y*q^2 + 4*x^4*y*q^2 + 6*x^3*y^2*q^3 + x^4*y^4*q^4",
+        "series/egf-Rq": "mismatch at n=4: x*q + 7*x^2*q^2 + 5*x^3*q + 6*x^3*q^3 + 4*x^4*q^2 + x^4*q^4 vs x + x*q + 7*x^2*q^2 + 5*x^3*q + 6*x^3*q^3 + 4*x^4*q^2 + x^4*q^4",
+        "series/inclusion-exclusion": "mismatch at n=4: x*q + 3*x^2*q^2 + 5*x^3*q + 4*x^2*y*q^2 + 4*x^4*y*q^2 + 6*x^3*y^2*q^3 + x^4*y^4*q^4 vs x + x*q + 3*x^2*q^2 + 5*x^3*q + 4*x^2*y*q^2 + 4*x^4*y*q^2 + 6*x^3*y^2*q^3 + x^4*y^4*q^4",
         "series/pde": "PDE fails on the true triangle",
     },
     "T": {
-        "series/egf-T": "egf_T vs T triangle: n=4: x + 7*x^2 + 11*x^3 + 5*x^4 != 2*x + 7*x^2 + 11*x^3 + 5*x^4",
+        "series/egf-T": "mismatch at n=4: x + 7*x^2 + 11*x^3 + 5*x^4 vs 2*x + 7*x^2 + 11*x^3 + 5*x^4",
     },
     "dpoly": {
-        "series/derangement": "exp(-xz) T(x,z) vs derangement polynomials: n=4: x + 3*x^2 + 5*x^3 != 2*x + 3*x^2 + 5*x^3",
+        "series/derangement": "mismatch at n=4: x + 3*x^2 + 5*x^3 vs 2*x + 3*x^2 + 5*x^3",
     },
     "f": {
-        "series/egf-f": "sqrt(T(2x,z)) vs f triangle: n=4: x + 7*x^2 + 26*x^3 + 17*x^4 != 2*x + 7*x^2 + 26*x^3 + 17*x^4",
+        "series/egf-f": "mismatch at n=4: x + 7*x^2 + 26*x^3 + 17*x^4 vs 2*x + 7*x^2 + 26*x^3 + 17*x^4",
     },
 }
 
