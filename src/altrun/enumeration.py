@@ -564,14 +564,19 @@ STAT_NAMES = tuple(
 )
 
 
-def stat(word: Sequence[int], name: str, kind: str = "perm") -> int:
-    """Evaluate a named statistic on an object of the given class."""
-    if kind not in _STATS_BY_CLASS:
+def _statistic(kind: str, name: str) -> Callable[[tuple], int]:
+    """The statistic `name` on objects of class `kind`."""
+    table = _STATS_BY_CLASS.get(kind)
+    if table is None:
         raise ValueError(f"unknown class {kind!r}")
-    table = _STATS_BY_CLASS[kind]
     if name not in table:
         raise StatClassMismatch(f"statistic {name!r} undefined for class {kind!r}")
-    return table[name](tuple(word))
+    return table[name]
+
+
+def stat(word: Sequence[int], name: str, kind: str = "perm") -> int:
+    """Evaluate a named statistic on an object of the given class."""
+    return _statistic(kind, name)(tuple(word))
 
 
 def distribution(
@@ -586,16 +591,9 @@ def distribution(
     >>> str(distribution("perm", 3, [("altrun", "x")]))
     '2*x + 4*x^2'
     """
-    table = _STATS_BY_CLASS.get(kind)
-    if table is None:
+    if kind not in _STATS_BY_CLASS:
         raise ValueError(f"unknown class {kind!r}")
-    fns = []
-    for stat_name, _ in stats:
-        if stat_name not in table:
-            raise StatClassMismatch(
-                f"statistic {stat_name!r} undefined for class {kind!r}"
-            )
-        fns.append(table[stat_name])
+    fns = [_statistic(kind, stat_name) for stat_name, _ in stats]
     if not fns:
         raise ValueError("no statistic given")
     variables = tuple(var for _, var in stats)

@@ -10,107 +10,86 @@ monomials by the Leibniz rule and extends linearly, e.g. for
 'a*q*b'
 >>> str(g.derive(g.derive(g.letter("a"))))
 'a*q*b*c + a*q^2*b^2'
+
+A rule's right-hand side is read by Python's expression parser (``ast``)
+with ``^`` as ``**``, and its tree is evaluated over a whitelist, never
+compiled: integers, letters, parentheses, ``+``, ``-``, ``*`` and powers by an
+integer literal.  Letters are Python identifiers other than keywords;
+`parse_polynomial` states the rest of the syntax and its limits.
 """
 
 from __future__ import annotations
 
+import ast
+import keyword
 import re
 from dataclasses import dataclass, field
-from operator import add
+from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Sequence
 
 from .errors import NotOfExpectedShape, UnknownSymbol
 from .multipoly import MultiPoly
 from .polys import Poly, Scalar, exact_div
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^();]))")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize {text[pos:]!r}")
-            break
-        tokens.append(m.group(m.lastindex))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    """Recursive-descent parser for +, -, *, ^, parentheses and letters."""
-
-    def __init__(self, tokens: Sequence[str], alphabet: tuple[str, ...]):
-        self.tokens = list(tokens)
-        self.pos = 0
-        self.alphabet = alphabet
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> MultiPoly:
-        value = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing input at {self.tokens[self.pos:]}")
-        return value
-
-    def expr(self) -> MultiPoly:
-        negate = False
-        if self.peek() in ("+", "-"):
-            negate = self.take() == "-"
-        value = self.term()
-        if negate:
-            value = -value
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> MultiPoly:
-        value = self.factor()
-        while self.peek() == "*":
-            self.take()
-            value = value * self.factor()
-        return value
-
-    def factor(self) -> MultiPoly:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            exp_tok = self.take()
-            if not exp_tok.isdigit():
-                raise ValueError(f"exponent must be an integer, got {exp_tok!r}")
-            base = base ** int(exp_tok)
-        return base
-
-    def atom(self) -> MultiPoly:
-        tok = self.take()
-        if tok == "(":
-            inner = self.expr()
-            if self.take() != ")":
-                raise ValueError("unbalanced parenthesis")
-            return inner
-        if tok.isdigit():
-            return MultiPoly.constant(self.alphabet, int(tok))
-        if tok.isidentifier():
-            return MultiPoly.variable(self.alphabet, tok)
-        raise ValueError(f"unexpected token {tok!r}")
+_LETTER = re.compile(r"\b[A-Za-z_][A-Za-z_0-9]*")
+# the accepted operators besides Pow, which takes an int literal exponent only
+_BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul}
+_UNARY = {ast.UAdd: lambda value: value, ast.USub: neg}
 
 
 def parse_polynomial(text: str, alphabet: Iterable[str]) -> MultiPoly:
-    """Parse an integer-coefficient expression like "b^2 - 2*a"."""
-    return _Parser(_tokenize(text), tuple(alphabet)).parse()
+    """Parse an integer-coefficient expression like "b^2 - 2*a".
+
+    The text is read by Python's expression parser, with ``^`` as ``**``,
+    and the tree is evaluated, never compiled: integers, letters of the
+    alphabet, parentheses, ``+`` and ``-`` (also as signs, so ``2*-a`` and
+    ``--a`` parse), ``*`` and a power by an integer literal are accepted, and
+    anything else (``/``, floats, calls, ``a^-1``, ``a^2^2``) raises
+    ``ValueError``.  Letters must be Python identifiers that are not keywords.
+    Python's parser refuses more than 200 nested parentheses and flat sums
+    above about 2990 terms; both raise ``ValueError`` too.
+
+    >>> str(parse_polynomial("a*(b^2 - 2*a)", ("a", "b")))
+    '-2*a^2 + a*b^2'
+    """
+    alphabet = tuple(alphabet)
+    try:
+        tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
+    except (SyntaxError, RecursionError) as exc:
+        raise ValueError(f"cannot parse {text!r}: {exc}") from None
+    # reversed breadth-first order puts every child before its parent, so
+    # the evaluation needs no recursion however deep the tree is
+    values: dict[ast.expr, MultiPoly] = {}
+    for node in reversed(list(ast.walk(tree.body))):
+        if isinstance(node, ast.expr):
+            value = _evaluate(node, values, alphabet)
+            if value is None:
+                kind = type(getattr(node, "op", node)).__name__
+                raise ValueError(f"unsupported syntax ({kind}) in {text!r}")
+            values[node] = value
+    return values[tree.body]
+
+
+def _is_int(node: ast.expr) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _evaluate(node: ast.expr, values: dict, alphabet: tuple[str, ...]) -> MultiPoly | None:
+    """The value of one node whose children are already in `values`, or
+    None when the node is not part of the accepted syntax."""
+    op = type(getattr(node, "op", None))
+    if isinstance(node, ast.BinOp):
+        if op in _BINARY:
+            return _BINARY[op](values[node.left], values[node.right])
+        if op is ast.Pow and _is_int(node.right):
+            return values[node.left] ** node.right.value
+    elif isinstance(node, ast.UnaryOp) and op in _UNARY:
+        return _UNARY[op](values[node.operand])
+    elif _is_int(node):
+        return MultiPoly.constant(alphabet, node.value)
+    elif isinstance(node, ast.Name):
+        return MultiPoly.variable(alphabet, node.id)
+    return None
 
 
 @dataclass(frozen=True)
@@ -140,22 +119,14 @@ class Grammar:
                 continue
             if "->" not in chunk:
                 raise ValueError(f"rule {chunk!r} lacks '->'")
-            lhs, rhs = chunk.split("->", 1)
-            rule_texts.append((lhs.strip(), rhs.strip()))
-        letters: list[str] = []
-
-        def note(name: str) -> None:
-            if name not in letters:
-                letters.append(name)
-
-        for lhs, rhs in rule_texts:
-            if not lhs.isidentifier():
+            lhs, rhs = (side.strip() for side in chunk.split("->", 1))
+            if not lhs.isidentifier() or keyword.iskeyword(lhs):
                 raise ValueError(f"bad letter {lhs!r}")
-            note(lhs)
-            for tok in _tokenize(rhs):
-                if tok.isidentifier():
-                    note(tok)
-        alphabet = tuple(letters)
+            rule_texts.append((lhs, rhs))
+        # letters in order of first appearance, left-hand sides included
+        alphabet = tuple(dict.fromkeys(
+            name for lhs, rhs in rule_texts for name in (lhs, *_LETTER.findall(rhs))
+        ))
         rules = {
             lhs: parse_polynomial(rhs, alphabet) for lhs, rhs in rule_texts
         }

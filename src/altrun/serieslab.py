@@ -85,10 +85,6 @@ class Series(ExactRing):
         """The ordinary coefficients [z^n] = egf[n] / n!."""
         return tuple(c * Fraction(1, factorial(n)) for n, c in enumerate(self.egf))
 
-    def coefficient(self, n: int):
-        """The ordinary coefficient [z^n]."""
-        return self.egf_coefficient(n) * Fraction(1, factorial(n))
-
     def egf_coefficient(self, n: int):
         """n! times the z^n coefficient, as stored."""
         if not 0 <= n <= self.order:

@@ -109,8 +109,11 @@ def _compare(lo: int, hi: int, what: str, rows: Rows) -> tuple[bool, str]:
 
     `rows(hi)` yields (n, a, b) for n = lo..hi, or fewer where a route caps
     its range; the first pair with a != b fails the check.  A pass states
-    lo..the last n compared, and rows that yield nothing fail.
+    lo..the last n compared.  An empty range (hi < lo) fails before any
+    route is built, and so do rows that yield nothing.
     """
+    if hi < lo:
+        return _empty(lo, hi, what)
     last = None
     for n, a, b in rows(hi):
         if a != b:
@@ -470,14 +473,9 @@ def check_davidbarton_mutation(hi: int):
 
 def _series(check_id: str, what: str, sides: Callable) -> Callable:
     """Register `sides(order)`, the two sides of one serieslab identity as
-    tuples indexed by n, as an order check compared by `_compare`.
-
-    A negative order is an empty range and fails before either side is built.
-    """
+    tuples indexed by n, as an order check compared by `_compare`."""
 
     def check(order: int = 12, **_) -> tuple[bool, str]:
-        if order < 0:
-            return _empty(0, order, check_id)
         return _compare(0, order, what, lambda hi: zip(count(), *sides(hi)))
 
     return _register(check_id, "order")(check)

@@ -135,10 +135,18 @@ def test_verify_bad_parameter_fails_its_checks_only(capsys):
     assert code == 1
     assert len(report["checks"]) == 49
     failed = {c["check_id"]: c["detail"] for c in report["checks"] if not c["pass"]}
-    assert failed["triangles/row-sums"] == "ValueError: family 'R' starts at row 1"
-    assert failed["triangles/c-from-b"] == "ValueError: family 'cpoly' starts at index 1"
+    assert len(failed) == 22
+    assert failed["triangles/row-sums"] == (
+        "empty range n=1..0, nothing checked: R, T, Rq rows all have mass n!"
+    )
+    assert failed["triangles/T-from-R"] == (
+        "empty range n=2..0, nothing checked: T_n = (1+x) R_n / 2"
+    )
+    assert failed["triangles/c-from-b"] == (
+        "empty range n=1..0, nothing checked: c_n = x b_n / (1+x)"
+    )
     assert all(
-        d.startswith(("ValueError: family", "empty range n=1..0")) for d in failed.values()
+        d.startswith(("empty range n=1..0", "empty range n=2..0")) for d in failed.values()
     )
 
     code, out, _ = run_cli(capsys, "verify", "--order", "1")

@@ -22,8 +22,20 @@ def mono(g, text):
     return gr.parse_polynomial(text, g.alphabet)
 
 
+BUILT_IN_ALPHABETS = {
+    "updown": ("a", "b", "c"),
+    "doubled": ("a", "b", "c"),
+    "qrun": ("a", "q", "b", "c"),
+    "plateau": ("x", "y", "z"),
+    "gammavec": ("x", "a", "b"),
+    "halfgamma": ("x", "u", "v"),
+}
+
+
 def test_parse_grammar_alphabet_and_constants():
-    assert QRUN.alphabet == ("a", "q", "b", "c")
+    # letters in order of first appearance, left-hand sides included
+    alphabets = {name: gr.named_grammar(name).alphabet for name in gr.GRAMMAR_TEXTS}
+    assert alphabets == BUILT_IN_ALPHABETS
     assert "q" not in QRUN.rules
     assert QRUN.rules["b"] == mono(QRUN, "b*c")
 
@@ -33,13 +45,41 @@ def test_parse_negative_coefficients():
     assert g3.rules["a"] == mono(g3, "a*b^2 - 2*a^2")
 
 
+# Everything but integers, letters, parentheses, + - * and ^ by an integer
+# literal is refused, as are inputs past the limits of Python's parser.
+UNPARSABLE = (
+    "a^b",
+    "a + ",
+    "__import__('os').system('true')",
+    "a.b",
+    "a[0]",
+    "a < b",
+    "a and b",
+    "a if b else c",
+    "lambda: a",
+    "1.5*a",
+    "a/b",
+    "a^-1",
+    "a^2^2",
+    "(" * 300 + "a" + ")" * 300,
+    "+".join(["a"] * 20000),
+)
+
+
 def test_parse_errors():
-    with pytest.raises(ValueError):
-        gr.Grammar.parse("a=b")
-    with pytest.raises(ValueError):
-        gr.parse_polynomial("a^b", ("a", "b"))
-    with pytest.raises(ValueError):
-        gr.parse_polynomial("a + ", ("a",))
+    for text in UNPARSABLE:
+        with pytest.raises(ValueError):
+            gr.parse_polynomial(text, ("a", "b", "c"))
+    for text in ("a=b", "if->a", "a->b/c"):
+        with pytest.raises(ValueError):
+            gr.Grammar.parse(text)
+
+
+def test_parse_long_flat_sum_and_signs():
+    a = MultiPoly.variable(("a",), "a")
+    assert gr.parse_polynomial("+".join(["a"] * 2000), ("a",)) == 2000 * a
+    assert gr.parse_polynomial("2*-a", ("a",)) == -2 * a
+    assert gr.parse_polynomial("--a", ("a",)) == a
 
 
 def test_apply_first_derivatives():

@@ -54,6 +54,22 @@ def test_qrun_recurrence_fails_an_empty_range():
     assert qrun.detail.startswith("empty range n=1..0")
 
 
+def test_negative_max_n_is_an_empty_range_for_every_row_check():
+    # Every check registered by `_rows` fails, as an empty range, before any
+    # row store is asked for a negative index; the others ignore max_n.
+    report = verify.run_suite("all", max_n=-1)
+    failed = {c.check_id: c.detail for c in report.checks if not c.ok}
+    row_checks = {
+        check_id for entries in verify._CHECKS.values()
+        for check_id, fn in entries if fn.__qualname__.startswith("_rows.")
+    }
+    assert len(row_checks) == 36
+    assert set(failed) == row_checks
+    for check_id, detail in failed.items():
+        assert detail.startswith("empty range n="), (check_id, detail)
+        assert "..-1, nothing checked: " in detail, (check_id, detail)
+
+
 def test_compare_fails_rows_that_yield_nothing():
     ok, detail = verify._compare(0, 3, "no rows", lambda hi: iter(()))
     assert not ok
