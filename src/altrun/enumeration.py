@@ -28,7 +28,14 @@ takes outside input.
 
 Statistics are plain functions on tuples; `stat` dispatches by class name and
 `distribution` folds a statistic tuple into an exact polynomial.  These
-distributions are the brute-force oracle for the recurrence triangles.  The
+distributions are the brute-force oracle for the recurrence triangles.  A
+statistic f is local when f(p + t) = f(p) + f(p[-2:] + t) - f(p[-2:]) for
+every prefix p of length at least 2: altrun, udrun, des, des_B, altrun_B, ap,
+la and fap are.  A single local statistic on a tail stream is folded through
+the stream's blocks (prefix, state, table): its change over each table is
+counted once per (state, last two letters of the prefix) and its value on
+each prefix once, so no word is built.  Joint distributions, `perm` and the
+other statistics are folded word by word.  The
 cycle statistics `crun` and `cycle_count` walk each cycle once instead of
 building the standard decomposition, which `cycle_canonical`,
 `crun_of_cycles` and `cycle_runs` still define.
@@ -48,6 +55,7 @@ from .errors import InvalidStirlingWord, SizeLimit, StatClassMismatch
 from .multipoly import MultiPoly
 
 Word = tuple[int, ...]
+Block = tuple[Word, object, list[Word]]  # (prefix, walk state, completions)
 
 DEFAULT_BUDGET = 10**8
 
@@ -108,16 +116,41 @@ def _check_budget(kind: str, n: int) -> None:
         raise SizeLimit(f"{kind} n={n} has {count} objects, budget is {budget}")
 
 
-def _tail_stream(root, children: Callable, cut: Callable, complete: Callable) -> Iterator[Word]:
+class _TailStream:
     """Every word below `root`, in lexicographic order.
 
     `children(state)` yields (letter, child state) by increasing letter.  The
     walk writes letters until `cut(state)` holds; then `complete(state)`
     lists every completion of that state in lexicographic order, once per
     distinct state, and each is appended to the prefix.  The table of
-    completions lives only as long as the stream.
+    completions lives only as long as the walk.
+
+    `blocks()` is the walk itself: (prefix, state, completions) in word
+    order.  Iterating the stream joins its blocks into words; `close()`
+    stops the walk and drops the table.
     """
 
+    def __init__(self, root, children: Callable, cut: Callable, complete: Callable):
+        self._walk = (root, children, cut, complete)
+        self._words = _joined(self.blocks())
+
+    def blocks(self) -> Iterator[Block]:
+        return _blocks(*self._walk)
+
+    def __iter__(self) -> Iterator[Word]:
+        return self._words
+
+    def __next__(self) -> Word:
+        return next(self._words)
+
+    def close(self) -> None:
+        self._words.close()
+
+
+# A function, not a method, so that a running walk holds no reference to its
+# stream: a stream dropped half read is freed, table and all, without waiting
+# for the cyclic collector.
+def _blocks(root, children: Callable, cut: Callable, complete: Callable) -> Iterator[Block]:
     def walk(state, prefix: Word) -> Iterator[tuple[Word, object]]:
         if cut(state):
             yield prefix, state
@@ -131,9 +164,14 @@ def _tail_stream(root, children: Callable, cut: Callable, complete: Callable) ->
             tails = memo.get(state)
             if tails is None:
                 tails = memo[state] = complete(state)
-            yield from map(prefix.__add__, tails)
+            yield prefix, state, tails
     finally:
         memo.clear()
+
+
+def _joined(blocks: Iterator[Block]) -> Iterator[Word]:
+    for prefix, _, tails in blocks:
+        yield from map(prefix.__add__, tails)
 
 
 def _signed_words(n: int, first_positive: bool) -> Iterator[Word]:
@@ -149,7 +187,7 @@ def _signed_words(n: int, first_positive: bool) -> Iterator[Word]:
             return [()]
         return [(v, *tail) for v, child in children(left) for tail in complete(child)]
 
-    return _tail_stream(tuple(range(1, n + 1)), children, lambda left: len(left) <= 3, complete)
+    return _TailStream(tuple(range(1, n + 1)), children, lambda left: len(left) <= 3, complete)
 
 
 def _derangements(n: int) -> Iterator[Word]:
@@ -167,7 +205,7 @@ def _derangements(n: int) -> Iterator[Word]:
         places = range(i, n + 1)
         return [p for p in permutations(left) if not any(map(eq, p, places))]
 
-    return _tail_stream((1, tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 4, complete)
+    return _TailStream((1, tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 4, complete)
 
 
 def _stirling_words(n: int, double: bool = False) -> Iterator[Word]:
@@ -209,7 +247,7 @@ def _stirling_words(n: int, double: bool = False) -> Iterator[Word]:
         above = len(stack) - bisect_left(stack, u)
         return [(*rest[:k], *pair, *rest[k:]) for k in range(len(stack), above - 1, -1)]
 
-    return _tail_stream(((), tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 2, complete)
+    return _TailStream(((), tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 2, complete)
 
 
 def generate(kind: str, n: int) -> Iterator[Word]:
@@ -559,6 +597,16 @@ _STATS_BY_CLASS = {
     "stirling": _STIRLING_STATS,
 }
 
+# A statistic f is local when f(p + t) = f(p) + f(p[-2:] + t) - f(p[-2:])
+# for every prefix p with len(p) >= 2: a head term on w[:2] plus a sum over
+# windows of at most three adjacent letters, none depending on its position.
+# (For len(p) < 2 the identity holds trivially, since p[-2:] == p.)
+# `distribution` folds these through the tail tables.
+_LOCAL_STATS = frozenset({
+    altrun, udrun, descents, descents_type_b, signed_altrun,
+    ascent_plateaus, left_ascent_plateaus, flag_ascent_plateaus,
+})
+
 STAT_NAMES = tuple(
     sorted(set(_PERM_STATS) | set(_SIGNED_STATS) | set(_STIRLING_STATS))
 )
@@ -587,9 +635,17 @@ def distribution(
     """Sum over all objects of prod variable^statistic, exactly.
 
     `stats` is a nonempty sequence of (statistic name, variable name) pairs.
+    A single local statistic (see `_LOCAL_STATS`) on a tail-stream class is
+    folded block by block: f(prefix + tail) = f(prefix) + f(key + tail) -
+    f(key), with key the last two letters of the prefix, so f(key + tail) -
+    f(key) is counted once per (state, key) over the state's table of tails
+    and f(prefix) once per prefix.  Every other statistic, every joint
+    distribution and every `perm` distribution is folded word by word.
 
     >>> str(distribution("perm", 3, [("altrun", "x")]))
     '2*x + 4*x^2'
+    >>> str(distribution("stirling", 3, [("fap", "x")]))
+    'x + 3*x^2 + 7*x^3 + 3*x^4 + x^5'
     """
     if kind not in _STATS_BY_CLASS:
         raise ValueError(f"unknown class {kind!r}")
@@ -597,6 +653,32 @@ def distribution(
     if not fns:
         raise ValueError("no statistic given")
     variables = tuple(var for _, var in stats)
-    streams = tee(generate(kind, n), len(fns))
-    counts = Counter(zip(*(map(fn, words) for fn, words in zip(fns, streams))))
-    return MultiPoly(variables, counts)
+    words = generate(kind, n)
+    if len(fns) > 1:
+        streams = tee(words, len(fns))
+        counts = Counter(zip(*(map(fn, copy) for fn, copy in zip(fns, streams))))
+        return MultiPoly(variables, counts)
+    fn = fns[0]
+    if fn in _LOCAL_STATS and isinstance(words, _TailStream):
+        values = _local_fold(fn, words.blocks())
+    else:
+        values = Counter(map(fn, words))
+    return MultiPoly(variables, {(v,): c for v, c in values.items()})
+
+
+def _local_fold(fn: Callable[[tuple], int], blocks: Iterator[Block]) -> Counter:
+    """The distribution of a local statistic `fn` over the words of `blocks`."""
+    shifts: dict = {}  # (state, key) -> Counter of f(key + tail) - f(key)
+    heads: Counter = Counter()  # (f(prefix), (state, key)) -> prefixes
+    for prefix, state, tails in blocks:
+        key = prefix[-2:]
+        at = (state, key)
+        if at not in shifts:
+            base = fn(key)
+            shifts[at] = Counter([fn(key + tail) - base for tail in tails])
+        heads[fn(prefix), at] += 1
+    values: Counter = Counter()
+    for (head, at), count in heads.items():
+        for shift, times in shifts[at].items():
+            values[head + shift] += count * times
+    return values

@@ -3,13 +3,15 @@
 import gc
 import math
 import tracemalloc
-from itertools import permutations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
 from altrun import enumeration as en
 from altrun.errors import InvalidStirlingWord, SizeLimit, StatClassMismatch
 from altrun.families import polyseq, triangle
+from altrun.multipoly import MultiPoly
 from altrun.polys import Poly
 
 
@@ -222,6 +224,62 @@ def test_distribution_examples():
     )
     rq3 = en.distribution("perm", 3, [("crun", "x"), ("cyc", "q")])
     assert rq3 == triangle("Rq", 3).row_multipoly(3)
+
+
+TAIL_CLASSES = ("signed", "signed_hat", "derangement", "stirling", "dual_stirling")
+
+
+def _sizes(kind):
+    return range(1 if kind == "signed_hat" else 0, 7 if kind.startswith("signed") else 8)
+
+
+def _fold_mismatches(kind, name):
+    """The n <= 7 (<= 6 for signed classes) at which `distribution` of one
+    statistic differs from a plain word-by-word count."""
+    fn = en._statistic(kind, name)
+    bad = []
+    for n in _sizes(kind):
+        counts = Counter(map(fn, en.generate(kind, n)))
+        plain = MultiPoly(("x",), {(v,): c for v, c in counts.items()})
+        if en.distribution(kind, n, [(name, "x")]) != plain:
+            bad.append(n)
+    return bad
+
+
+def test_blocks_join_into_the_stream():
+    for kind in TAIL_CLASSES:
+        for n in _sizes(kind):
+            joined = [p + t for p, _, tails in en.generate(kind, n).blocks() for t in tails]
+            assert joined == list(en.generate(kind, n)), (kind, n)
+
+
+def test_local_fold_equals_the_word_fold():
+    folded = 0
+    for kind in TAIL_CLASSES:
+        assert isinstance(en.generate(kind, 1), en._TailStream)
+        for name, fn in en._STATS_BY_CLASS[kind].items():
+            if fn in en._LOCAL_STATS:
+                folded += 1
+                assert _fold_mismatches(kind, name) == [], (kind, name)
+    # altrun, udrun, des on two classes; des_B, altrun_B on two; ap, la, fap
+    assert folded == 3 * 2 + 2 * 2 + 3
+
+
+def inversions(word):
+    return sum(a > b for a, b in combinations(word, 2))
+
+
+@pytest.mark.parametrize("name, fn", [("fix", en.fixed_points), ("inv", inversions)])
+def test_a_nonlocal_statistic_in_the_local_set_breaks_the_fold(monkeypatch, name, fn):
+    # Fixed points depend on positions and inversions on every pair, so
+    # neither satisfies f(p + t) = f(p) + f(p[-2:] + t) - f(p[-2:]); folding
+    # either through the tail tables must give a wrong distribution.  (The
+    # longest alternating subsequence cannot serve here: on words with
+    # distinct letters it equals udrun, which is local; see
+    # test_as_equals_udrun.)
+    monkeypatch.setitem(en._PERM_STATS, name, fn)
+    monkeypatch.setattr(en, "_LOCAL_STATS", en._LOCAL_STATS | {fn})
+    assert _fold_mismatches("dual_stirling", name)
 
 
 def test_distribution_total_mass():

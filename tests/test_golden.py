@@ -30,6 +30,17 @@ for _family in families.POLY_FAMILIES:
     CASES[f"poly-{_family}-20.txt"] = ["poly", "--family", _family, "--n", "20"]
 CASES["dist-perm-altrun-6.txt"] = ["dist", "--class", "perm", "--stat", "altrun", "--n", "6"]
 CASES["dist-perm-crun-cyc-6.txt"] = ["dist", "--class", "perm", "--stat", "crun,cyc", "--n", "6"]
+CASES["dist-dual_stirling-altrun-6.txt"] = [
+    "dist", "--class", "dual_stirling", "--stat", "altrun", "--n", "6"
+]
+CASES["dist-stirling-ap-fap-5.txt"] = ["dist", "--class", "stirling", "--stat", "ap,fap", "--n", "5"]
+CASES["dist-signed-desB-altrunB-4.txt"] = [
+    "dist", "--class", "signed", "--stat", "des_B,altrun_B", "--n", "4"
+]
+CASES["dist-signed_hat-altrunB-5.txt"] = [
+    "dist", "--class", "signed_hat", "--stat", "altrun_B", "--n", "5"
+]
+CASES["dist-derangement-crun-7.txt"] = ["dist", "--class", "derangement", "--stat", "crun", "--n", "7"]
 CASES["verify-all-defaults.json"] = ["verify", "--suite", "all"]
 CASES["verify-all-n7-o10.json"] = ["verify", "--suite", "all", "--max-n", "7", "--order", "10"]
 
