@@ -24,7 +24,14 @@ routes (`next_row` applies one step to a row computed elsewhere).
 Each family keeps one growable list of the rows (or polynomials) computed so
 far.  A call extends that list from its last entry up to the requested index
 and returns a `Triangle` / `PolySeq` over the leading slice, so asking for
-rows 1..n after rows 1..n-1 costs one new row, not n.
+rows 1..n after rows 1..n-1 costs one new row, not n.  Fpoly, gammapoly and
+the Eulerian polynomials read their one row from that list, without a copy.
+
+A triangle whose first row holds `Poly` entries (Rq) is stepped on integer
+coefficient lists: each coefficient of the recurrence and each entry of the
+previous row is taken as its list of coefficients in q (an `int` as a
+constant), the three products are summed into one list, and each new entry
+is one `Poly` built from it.
 """
 
 from __future__ import annotations
@@ -32,10 +39,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from functools import partial
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import UnknownFamily
 from .gammalab import GammaForm
@@ -50,8 +56,7 @@ _XQ = ("x", "q")  # the letters of `Triangle.row_multipoly`
 _XYQ = ("x", "y", "q")  # the letters of `inclusion_exclusion_Rxy`
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """Rows of a doubly-indexed family; rows[i] holds row n = min_n + i."""
 
     name: str
@@ -90,8 +95,7 @@ class Triangle:
         return MultiPoly(_XQ, terms)
 
 
-@dataclass(frozen=True)
-class _TriangleSpec:
+class _TriangleSpec(NamedTuple):
     min_n: int
     first_row: tuple[Entry, ...]
     k_max: Callable[[int], int]
@@ -178,24 +182,31 @@ def _prev_entry(prev: tuple[Entry, ...], k: int) -> Entry:
     return 0
 
 
-def _extended(items: list, min_n: int, max_n: int, step: Callable[[int, list], object]) -> tuple:
+def _extend(items: list, min_n: int, max_n: int, step: Callable[[int, list], object]) -> list:
     """Grow `items`, the entries at min_n, min_n + 1, ..., through max_n.
 
     `step(n, items)` computes entry n from the entries before it.  Returns
-    the entries min_n..max_n.
+    `items` itself.
     """
     for n in range(min_n + len(items), max_n + 1):
         items.append(step(n, items))
-    return tuple(items[: max_n - min_n + 1])
+    return items
 
 
-# rows[i] of family `name` is row min_n + i; extended on demand by `triangle`
+# rows[i] of family `name` is row min_n + i; extended on demand by `_stored_rows`
 _TRIANGLE_ROWS: dict[str, list[tuple[Entry, ...]]] = {}
+
+
+def _coeff_list(value: Entry) -> tuple:
+    """The coefficients in q of a `Poly`, or of an `int` as a constant."""
+    return value.coeffs if isinstance(value, Poly) else (value,)
 
 
 def _next_row(spec: _TriangleSpec, n: int, rows: list) -> tuple[Entry, ...]:
     """Row n of the triangle from the rows before it, by the recurrence."""
     prev = rows[-1]
+    if any(isinstance(entry, Poly) for entry in spec.first_row):
+        return _next_poly_row(spec, n, prev)
     row = []
     for k in range(spec.k_max(n) + 1):
         value = (
@@ -204,6 +215,26 @@ def _next_row(spec: _TriangleSpec, n: int, rows: list) -> tuple[Entry, ...]:
             + spec.coeff_c(n, k) * _prev_entry(prev, k - 2)
         )
         row.append(value)
+    return tuple(row)
+
+
+def _next_poly_row(spec: _TriangleSpec, n: int, prev: tuple[Entry, ...]) -> tuple[Poly, ...]:
+    """`_next_row` for polynomial entries, summed on coefficient lists in q."""
+    prev = [_coeff_list(entry) for entry in prev]
+    coeffs = (spec.coeff_a, spec.coeff_b, spec.coeff_c)  # of prev[k - shift]
+    row = []
+    for k in range(spec.k_max(n) + 1):
+        acc = []
+        for shift, coeff in enumerate(coeffs):
+            if not 0 <= k - shift < len(prev):
+                continue
+            f, g = _coeff_list(coeff(n, k)), prev[k - shift]
+            acc.extend([0] * (len(f) + len(g) - 1 - len(acc)))
+            for i, fi in enumerate(f):
+                if fi:
+                    for j, gj in enumerate(g, i):
+                        acc[j] += fi * gj
+        row.append(Poly(acc))
     return tuple(row)
 
 
@@ -216,16 +247,27 @@ def next_row(name: str, n: int, prev: tuple[Entry, ...]) -> tuple[Entry, ...]:
     return _next_row(_TRIANGLES[name], n, [prev])
 
 
-def triangle(name: str, max_n: int) -> Triangle:
-    """Rows min_n..max_n of the named triangle, extending the row store."""
+def _stored_rows(name: str, max_n: int) -> list[tuple[Entry, ...]]:
+    """The row store of the named triangle, extended through row max_n."""
     if name not in _TRIANGLES:
         raise UnknownFamily(f"unknown triangle family {name!r}")
     spec = _TRIANGLES[name]
     if max_n < spec.min_n:
         raise ValueError(f"family {name!r} starts at row {spec.min_n}")
     rows = _TRIANGLE_ROWS.setdefault(name, [spec.first_row])
-    step = partial(_next_row, spec)
-    return Triangle(name, spec.min_n, _extended(rows, spec.min_n, max_n, step))
+    return _extend(rows, spec.min_n, max_n, partial(_next_row, spec))
+
+
+def _row(name: str, n: int) -> tuple[Entry, ...]:
+    """Row n of the named triangle, read from the row store."""
+    return _stored_rows(name, n)[n - _TRIANGLES[name].min_n]
+
+
+def triangle(name: str, max_n: int) -> Triangle:
+    """Rows min_n..max_n of the named triangle, extending the row store."""
+    rows = _stored_rows(name, max_n)
+    min_n = _TRIANGLES[name].min_n
+    return Triangle(name, min_n, tuple(rows[: max_n - min_n + 1]))
 
 
 def q_specialize(row: tuple[Entry, ...], q0: Scalar) -> Poly:
@@ -245,8 +287,7 @@ def q_specialize(row: tuple[Entry, ...], q0: Scalar) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolySeq:
+class PolySeq(NamedTuple):
     name: str
     min_n: int
     polys: tuple[Poly, ...]
@@ -295,11 +336,10 @@ def eulerian(n: int, kind: str) -> Poly:
     if n < 1:
         raise ValueError(f"type {kind} defined for n >= 1")
     top = n + 1 if kind == "A" else n
-    return GammaForm(top, triangle(kind.lower(), n).row(n)).reassemble()
+    return GammaForm(top, _row(kind.lower(), n)).reassemble()
 
 
-@dataclass(frozen=True)
-class _SeqSpec:
+class _SeqSpec(NamedTuple):
     min_n: int
     initial: tuple[Poly, ...]  # the polynomials at indices min_n, min_n + 1, ...
     step: Callable[[int, list[Poly]], Poly]
@@ -309,8 +349,8 @@ _POLYSEQS: dict[str, _SeqSpec] = {
     "bpoly": _SeqSpec(0, (Poly.one(), _ONE_X), _step_bpoly),
     "cpoly": _SeqSpec(1, (Poly.x(),), _step_cpoly),
     "dpoly": _SeqSpec(0, (Poly.one(), Poly.zero()), _step_dpoly),
-    "gammapoly": _SeqSpec(0, (), lambda n, prev: triangle("gamma", n).row_poly(n)),
-    "Fpoly": _SeqSpec(0, (), lambda n, prev: triangle("F", n).row_poly(n)),
+    "gammapoly": _SeqSpec(0, (), lambda n, prev: Poly(_row("gamma", n))),
+    "Fpoly": _SeqSpec(0, (), lambda n, prev: Poly(_row("F", n))),
     "eulerA": _SeqSpec(1, (), lambda n, prev: eulerian(n, "A")),
     "eulerB": _SeqSpec(1, (), lambda n, prev: eulerian(n, "B")),
 }
@@ -329,7 +369,8 @@ def polyseq(name: str, max_n: int) -> PolySeq:
     if max_n < spec.min_n:
         raise ValueError(f"family {name!r} starts at index {spec.min_n}")
     polys = _POLYSEQ_POLYS.setdefault(name, list(spec.initial))
-    return PolySeq(name, spec.min_n, _extended(polys, spec.min_n, max_n, spec.step))
+    polys = _extend(polys, spec.min_n, max_n, spec.step)
+    return PolySeq(name, spec.min_n, tuple(polys[: max_n - spec.min_n + 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ one of them and `_basis_coeffs` is the one expansion back into such a basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NotSymmetric
 from .polys import Poly, Scalar, divide_exact, exact, is_symmetric
@@ -82,8 +81,7 @@ def _basis_coeffs(p: Poly, base: Poly, m: int) -> tuple[Scalar, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class GammaForm:
+class GammaForm(NamedTuple):
     """gamma coefficients of a palindromic polynomial of span base_degree."""
 
     base_degree: int
@@ -97,8 +95,7 @@ class GammaForm:
         return all(g >= 0 for g in self.gammas)
 
 
-@dataclass(frozen=True)
-class SemiGammaForm:
+class SemiGammaForm(NamedTuple):
     """(1+x)^nu sum lambda_k x^k (1+x^2)^(half_degree-k)."""
 
     nu: int

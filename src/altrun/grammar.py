@@ -23,7 +23,6 @@ from __future__ import annotations
 import ast
 import keyword
 import re
-from dataclasses import dataclass, field
 from operator import add, mul, neg, sub
 from typing import Callable, Iterable, Sequence
 
@@ -92,19 +91,34 @@ def _evaluate(node: ast.expr, values: dict, alphabet: tuple[str, ...]) -> MultiP
     return None
 
 
-@dataclass(frozen=True)
 class Grammar:
-    """Substitution rules letter -> polynomial over a fixed alphabet."""
+    """Substitution rules letter -> polynomial over a fixed alphabet.
 
-    alphabet: tuple[str, ...]
-    rules: dict[str, MultiPoly] = field(default_factory=dict)
+    Immutable: the two attributes are set once in `__init__`.
+    """
 
-    def __post_init__(self):
-        for letter, image in self.rules.items():
-            if letter not in self.alphabet:
+    __slots__ = ("alphabet", "rules")
+
+    def __init__(self, alphabet: tuple[str, ...], rules: dict[str, MultiPoly] | None = None):
+        rules = {} if rules is None else rules
+        for letter, image in rules.items():
+            if letter not in alphabet:
                 raise UnknownSymbol(letter)
-            if image.alphabet != self.alphabet:
+            if image.alphabet != alphabet:
                 raise ValueError("rule image over a different alphabet")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "rules", rules)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Grammar:
+            return NotImplemented
+        return self.alphabet == other.alphabet and self.rules == other.rules
+
+    def __repr__(self) -> str:
+        return f"Grammar(alphabet={self.alphabet!r}, rules={self.rules!r})"
 
     @classmethod
     def parse(cls, text: str) -> Grammar:

@@ -25,7 +25,6 @@ range of n it compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -53,7 +52,6 @@ def _pascal(order: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
 class Series(ExactRing):
     """Truncated exponential generating function: egf[n] = n! [z^n], n <= order.
 
@@ -66,10 +64,17 @@ class Series(ExactRing):
     True
     >>> [str(c) for c in s.coeffs]
     ['1', '1', '1/2', '1/6']
+
+    Like every `ExactRing` type, a Series is immutable: `egf` and `order`
+    live in `__slots__`, are set once in `__init__` through
+    `object.__setattr__`, and setting any attribute raises `AttributeError`.
     """
 
-    egf: tuple
-    order: int
+    __slots__ = ("egf", "order")
+
+    def __init__(self, egf: tuple, order: int):
+        object.__setattr__(self, "egf", egf)
+        object.__setattr__(self, "order", order)
 
     @classmethod
     def make(cls, coeffs: Sequence, order: int) -> Series:
@@ -227,7 +232,18 @@ class Series(ExactRing):
             power = power * factor
         return Series(tuple(out), self.order)
 
-    # -- display ---------------------------------------------------------------
+    # -- comparison / hashing / display ----------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Series:
+            return NotImplemented
+        return self.egf == other.egf and self.order == other.order
+
+    def __hash__(self) -> int:
+        return hash((self.egf, self.order))
+
+    def __repr__(self) -> str:
+        return f"Series(egf={self.egf!r}, order={self.order!r})"
 
     def __str__(self) -> str:
         return "\n".join(f"z^{n}/{n}!: {c}" for n, c in enumerate(self.egf))

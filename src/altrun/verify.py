@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import count
 from math import comb, factorial, prod
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import enumeration, families, gammalab, grammar, serieslab
 from .errors import SizeLimit
@@ -40,8 +39,7 @@ SUITES = (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     params: dict
     ok: bool
@@ -56,10 +54,18 @@ class CheckResult:
         }
 
 
-@dataclass
 class VerifyReport:
-    suite: str
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, suite: str, checks: list[CheckResult] | None = None):
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not VerifyReport:
+            return NotImplemented
+        return self.suite == other.suite and self.checks == other.checks
+
+    def __repr__(self) -> str:
+        return f"VerifyReport(suite={self.suite!r}, checks={self.checks!r})"
 
     @property
     def overall(self) -> bool:

@@ -77,6 +77,33 @@ def test_triangle_unknown():
         triangle("zzz", 3)
 
 
+def test_Rq_rows_match_Poly_arithmetic_on_the_spec():
+    """The coefficient-list kernel against the recurrence in `Poly` arithmetic."""
+    spec = families._TRIANGLES["Rq"]
+    coeffs = (spec.coeff_a, spec.coeff_b, spec.coeff_c)  # of prev[k - shift]
+    rows = [spec.first_row]
+    for n in range(1, 31):
+        prev = rows[-1]
+        rows.append(tuple(
+            sum(
+                (coeff(n, k) * prev[k - shift]
+                 for shift, coeff in enumerate(coeffs) if 0 <= k - shift < len(prev)),
+                Poly.zero(),
+            )
+            for k in range(spec.k_max(n) + 1)
+        ))
+    assert triangle("Rq", 30).rows == tuple(rows)
+
+
+def test_Rq_next_row_accepts_int_entries():
+    """An int entry steps as the constant polynomial, and the step gives Polys."""
+    for n, ints in ((1, (1,)), (3, (0, 2, 4)), (5, (3, 0, -1, 7, 2))):
+        step = families.next_row("Rq", n, ints)
+        assert step == families.next_row("Rq", n, tuple(map(Poly.constant, ints)))
+        assert all(type(entry) is Poly for entry in step)
+    assert families.next_row("Rq", 1, (1,)) == triangle("Rq", 1).row(1)
+
+
 def test_family_errors():
     with pytest.raises(ValueError, match="family 'R' starts at row 1"):
         triangle("R", 0)

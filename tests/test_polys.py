@@ -1,7 +1,6 @@
 """Dense polynomial arithmetic, exact division, window symmetry, and the
 operators every exact type derives from `ExactRing`."""
 
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -118,7 +117,7 @@ def test_exact_ring_derived_operators(kind, c):
     assert c - a == -(a - c)
     assert c + a == a + c
     assert c * a == a * c
-    with pytest.raises(FrozenInstanceError if kind == "Series" else AttributeError):
+    with pytest.raises(AttributeError):
         a.tag = 1
 
 

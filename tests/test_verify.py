@@ -1,7 +1,5 @@
 """Suite-level behaviour of `verify.run_suite`."""
 
-import dataclasses
-
 import pytest
 
 from altrun import families, verify
@@ -215,6 +213,7 @@ def _corrupt(monkeypatch, family: str) -> None:
     monkeypatch.setattr(families, "_TRIANGLE_ROWS", {})
     monkeypatch.setattr(families, "_POLYSEQ_POLYS", {})
     triangle, polyseq, eulerian = families.triangle, families.polyseq, families.eulerian
+    read_row = families._row  # how Fpoly, gammapoly and eulerian read a row
 
     def bumped_triangle(name, max_n):
         tri = triangle(name, max_n)
@@ -225,6 +224,12 @@ def _corrupt(monkeypatch, family: str) -> None:
         row[1] = row[1] + 1
         rows[4 - tri.min_n] = tuple(row)
         return Triangle(tri.name, tri.min_n, tuple(rows))
+
+    def bumped_row(name, n):
+        row = read_row(name, n)
+        if (name, n) != (family, 4):
+            return row
+        return row[:1] + (row[1] + 1,) + row[2:]
 
     def bumped_polyseq(name, max_n):
         seq = polyseq(name, max_n)
@@ -240,6 +245,7 @@ def _corrupt(monkeypatch, family: str) -> None:
 
     if family in families.TRIANGLE_FAMILIES:
         monkeypatch.setattr(families, "triangle", bumped_triangle)
+        monkeypatch.setattr(families, "_row", bumped_row)
     elif family in ("eulerA", "eulerB"):
         monkeypatch.setattr(families, "eulerian", bumped_eulerian)
     else:
@@ -259,9 +265,15 @@ def test_corrupted_row_fails_exactly_the_checks_comparing_it(monkeypatch, family
 
 # One recurrence coefficient bumped by one in `families._TRIANGLES`, and
 # checks that must fail because they read that recurrence: through Fpoly,
-# the row polynomial of F, or through `next_row`.
+# the row polynomial of F, or through `next_row`.  Rq's q coefficient bumps
+# to the two-term q + 1, so the Rq rows fail every check that reads them.
 BUMPED_COEFF_FAILS = {
     ("F", "coeff_b"): {"series/F-dual", "series/theta", "triangles/F-two-reassemblies"},
+    ("Rq", "coeff_b"): {
+        "enumeration/crun-cyc-vs-Rq", "grammar/qrun-recurrence", "grammar/qrun-triangle",
+        "series/egf-Rq", "series/inclusion-exclusion", "series/pde", "triangles/Rq-parity",
+        "triangles/row-sums",
+    },
     ("Rq", "coeff_c"): {"grammar/qrun-recurrence"},
 }
 
@@ -270,7 +282,7 @@ BUMPED_COEFF_FAILS = {
 def test_bumped_recurrence_coefficient_fails_the_checks_reading_it(monkeypatch, family, coeff):
     spec = families._TRIANGLES[family]
     rule = getattr(spec, coeff)
-    bumped = dataclasses.replace(spec, **{coeff: lambda n, k: rule(n, k) + 1})
+    bumped = spec._replace(**{coeff: lambda n, k: rule(n, k) + 1})
     monkeypatch.setitem(families._TRIANGLES, family, bumped)
     monkeypatch.setattr(families, "_TRIANGLE_ROWS", {})
     monkeypatch.setattr(families, "_POLYSEQ_POLYS", {})
