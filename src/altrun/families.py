@@ -27,11 +27,19 @@ and returns a `Triangle` / `PolySeq` over the leading slice, so asking for
 rows 1..n after rows 1..n-1 costs one new row, not n.  Fpoly, gammapoly and
 the Eulerian polynomials read their one row from that list, without a copy.
 
-A triangle whose first row holds `Poly` entries (Rq) is stepped on integer
-coefficient lists: each coefficient of the recurrence and each entry of the
-previous row is taken as its list of coefficients in q (an `int` as a
-constant), the three products are summed into one list, and each new entry
-is one `Poly` built from it.
+Each triangle's recurrence is data (`_TriangleSpec`): row n holds
+k = 0..max((p*n + r) // d, 0) and row[n][k] = A prev[k] + B prev[k-1] +
+C prev[k-2], where each of A, B, C is sum_j q^j (c0 + cn*n + ck*k), stored as
+one (c0, cn, ck) triple per power of q.  The q-run recurrence is written once,
+in the Rq spec: R and T are its data specialized once, at import, to q = 2
+with row n of R being row n-1 of Rq, and to q = 1 (`_specialize`).
+
+The data picks the kernel.  A spec with a q term in some coefficient, or with
+`Poly` entries in its first row (Rq), is stepped on integer coefficient
+lists: each entry of the previous row is taken as its list of coefficients
+in q (an `int` as a constant), the three products are summed into one list,
+and each new entry is one `Poly` built from it.  Every other spec is stepped
+in `int`s, each coefficient taken as its value at k = 0 plus ck*k.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import io
 import json
 from functools import partial
 from math import comb
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import UnknownFamily
 from .gammalab import GammaForm
@@ -50,7 +58,6 @@ from .polys import Poly, Scalar, exact
 
 Entry = int | Poly
 
-_Q = Poly.x()  # the q indeterminate for Rq entries
 _ONE_X = Poly([1, 1])  # 1 + x
 _XQ = ("x", "q")  # the letters of `Triangle.row_multipoly`
 _XYQ = ("x", "y", "q")  # the letters of `inclusion_exclusion_Rxy`
@@ -88,98 +95,107 @@ class Triangle(NamedTuple):
         """Assemble sum_k entry_k(q) * x^k as a polynomial in (x, q)."""
         terms = {}
         for k, entry in enumerate(self.row(n)):
-            qpoly = entry if isinstance(entry, Poly) else Poly.constant(entry)
-            for j, c in enumerate(qpoly.coeffs):
+            for j, c in enumerate(_coeff_list(entry)):
                 if c != 0:
                     terms[(k, j)] = c
         return MultiPoly(_XQ, terms)
 
 
+def _coeff_list(value: Entry) -> tuple:
+    """The coefficients in q of a `Poly`, or of an `int` as a constant."""
+    return value.coeffs if isinstance(value, Poly) else (value,)
+
+
 class _TriangleSpec(NamedTuple):
     min_n: int
     first_row: tuple[Entry, ...]
-    k_max: Callable[[int], int]
+    # (p, r, d): row n holds k = 0..max((p*n + r) // d, 0)
+    k_max: tuple[int, int, int]
     # coefficients of row[n][k] = A*prev[k] + B*prev[k-1] + C*prev[k-2],
-    # where prev is row n-1
-    coeff_a: Callable[[int, int], Entry]
-    coeff_b: Callable[[int, int], Entry]
-    coeff_c: Callable[[int, int], Entry]
+    # where prev is row n-1; each is one (c0, cn, ck) triple per power of q,
+    # for sum_j q^j (c0 + cn*n + ck*k)
+    coeff_a: tuple[tuple[int, int, int], ...]
+    coeff_b: tuple[tuple[int, int, int], ...]
+    coeff_c: tuple[tuple[int, int, int], ...]
 
+
+def _specialize(spec: _TriangleSpec, q0: int, shift: int) -> _TriangleSpec:
+    """The triangle whose row n is row n - shift of `spec` at q = q0."""
+
+    def at_q0(coeff: tuple[tuple[int, int, int], ...]) -> tuple[tuple[int, int, int]]:
+        c0, cn, ck = (sum(c * q0**j for j, c in enumerate(column)) for column in zip(*coeff))
+        return ((c0 - cn * shift, cn, ck),)
+
+    p, r, d = spec.k_max
+    return _TriangleSpec(
+        min_n=spec.min_n + shift,
+        first_row=tuple(
+            sum(c * q0**j for j, c in enumerate(_coeff_list(entry))) for entry in spec.first_row
+        ),
+        k_max=(p, r - p * shift, d),
+        coeff_a=at_q0(spec.coeff_a),
+        coeff_b=at_q0(spec.coeff_b),
+        coeff_c=at_q0(spec.coeff_c),
+    )
+
+
+# the q-run recurrence: R[n][k](q) = k R[n-1][k] + q R[n-1][k-1] + (n-k+1) R[n-1][k-2]
+_RQ = _TriangleSpec(
+    min_n=0,
+    first_row=(Poly.one(),),
+    k_max=(1, 0, 1),
+    coeff_a=((0, 0, 1),),
+    coeff_b=((0, 0, 0), (1, 0, 0)),
+    coeff_c=((1, 1, -1),),
+)
 
 _TRIANGLES: dict[str, _TriangleSpec] = {
-    "R": _TriangleSpec(
-        min_n=1,
-        first_row=(1,),
-        k_max=lambda n: max(n - 1, 0),
-        coeff_a=lambda n, k: k,
-        coeff_b=lambda n, k: 2,
-        coeff_c=lambda n, k: n - k,
-    ),
-    "T": _TriangleSpec(
-        min_n=0,
-        first_row=(1,),
-        k_max=lambda n: n,
-        coeff_a=lambda n, k: k,
-        coeff_b=lambda n, k: 1,
-        coeff_c=lambda n, k: n - k + 1,
-    ),
-    "Rq": _TriangleSpec(
-        min_n=0,
-        first_row=(Poly.one(),),
-        k_max=lambda n: n,
-        coeff_a=lambda n, k: k,
-        coeff_b=lambda n, k: _Q,
-        coeff_c=lambda n, k: n - k + 1,
-    ),
+    "R": _specialize(_RQ, 2, 1),  # R_n(x) = R_(n-1)(x; 2)
+    "T": _specialize(_RQ, 1, 0),  # T_n(x) = R_n(x; 1)
+    "Rq": _RQ,
     "a": _TriangleSpec(
         min_n=1,
         first_row=(0, 1),
-        k_max=lambda n: (n + 1) // 2,
-        coeff_a=lambda n, k: k,
-        coeff_b=lambda n, k: 2 * n - 4 * k + 4,
-        coeff_c=lambda n, k: 0,
+        k_max=(1, 1, 2),
+        coeff_a=((0, 0, 1),),
+        coeff_b=((4, 2, -4),),
+        coeff_c=((0, 0, 0),),
     ),
     "b": _TriangleSpec(
         min_n=0,
         first_row=(1,),
-        k_max=lambda n: n // 2,
-        coeff_a=lambda n, k: 1 + 2 * k,
-        coeff_b=lambda n, k: 4 * (n - 2 * k + 1),
-        coeff_c=lambda n, k: 0,
+        k_max=(1, 0, 2),
+        coeff_a=((1, 0, 2),),
+        coeff_b=((4, 4, -8),),
+        coeff_c=((0, 0, 0),),
     ),
     "F": _TriangleSpec(
         min_n=0,
         first_row=(1,),
-        k_max=lambda n: max(2 * n - 1, 0),
-        coeff_a=lambda n, k: k,
-        coeff_b=lambda n, k: 1,
-        coeff_c=lambda n, k: 2 * n - k,
+        k_max=(2, -1, 1),
+        coeff_a=((0, 0, 1),),
+        coeff_b=((1, 0, 0),),
+        coeff_c=((0, 2, -1),),
     ),
     "gamma": _TriangleSpec(
         min_n=0,
         first_row=(1,),
-        k_max=lambda n: n,
-        coeff_a=lambda n, k: k,
-        coeff_b=lambda n, k: 2 * n - 4 * k + 3,
-        coeff_c=lambda n, k: 0,
+        k_max=(1, 0, 1),
+        coeff_a=((0, 0, 1),),
+        coeff_b=((3, 2, -4),),
+        coeff_c=((0, 0, 0),),
     ),
     "f": _TriangleSpec(
         min_n=0,
         first_row=(1,),
-        k_max=lambda n: n,
-        coeff_a=lambda n, k: k,
-        coeff_b=lambda n, k: 1,
-        coeff_c=lambda n, k: 4 * (n - k + 1),
+        k_max=(1, 0, 1),
+        coeff_a=((0, 0, 1),),
+        coeff_b=((1, 0, 0),),
+        coeff_c=((4, 4, -4),),
     ),
 }
 
 TRIANGLE_FAMILIES = tuple(_TRIANGLES)
-
-
-def _prev_entry(prev: tuple[Entry, ...], k: int) -> Entry:
-    if 0 <= k < len(prev):
-        return prev[k]
-    return 0
 
 
 def _extend(items: list, min_n: int, max_n: int, step: Callable[[int, list], object]) -> list:
@@ -197,45 +213,40 @@ def _extend(items: list, min_n: int, max_n: int, step: Callable[[int, list], obj
 _TRIANGLE_ROWS: dict[str, list[tuple[Entry, ...]]] = {}
 
 
-def _coeff_list(value: Entry) -> tuple:
-    """The coefficients in q of a `Poly`, or of an `int` as a constant."""
-    return value.coeffs if isinstance(value, Poly) else (value,)
-
-
 def _next_row(spec: _TriangleSpec, n: int, rows: list) -> tuple[Entry, ...]:
     """Row n of the triangle from the rows before it, by the recurrence."""
-    prev = rows[-1]
-    if any(isinstance(entry, Poly) for entry in spec.first_row):
-        return _next_poly_row(spec, n, prev)
-    row = []
-    for k in range(spec.k_max(n) + 1):
-        value = (
-            spec.coeff_a(n, k) * _prev_entry(prev, k)
-            + spec.coeff_b(n, k) * _prev_entry(prev, k - 1)
-            + spec.coeff_c(n, k) * _prev_entry(prev, k - 2)
-        )
-        row.append(value)
-    return tuple(row)
+    p, r, d = spec.k_max
+    size = max((p * n + r) // d, 0) + 1
+    # for each shift, the terms (i, value at k = 0, step in k) of the
+    # coefficient of q^i * prev[k - shift]
+    terms = [
+        [(i, c0 + cn * n, ck) for i, (c0, cn, ck) in enumerate(coeff)]
+        for coeff in (spec.coeff_a, spec.coeff_b, spec.coeff_c)
+    ]
+    if any(len(t) > 1 for t in terms) or any(isinstance(e, Poly) for e in spec.first_row):
+        return tuple(_poly_entries(terms, rows[-1], size))
+    ((_, a, ak),), ((_, b, bk),), ((_, c, ck),) = terms
+    padded = (0, 0, *rows[-1], *[0] * (size - len(rows[-1])))  # prev[k] is padded[k + 2]
+    return tuple(
+        (a + ak * k) * p0 + (b + bk * k) * p1 + (c + ck * k) * p2
+        for k, p2, p1, p0 in zip(range(size), padded, padded[1:], padded[2:])
+    )
 
 
-def _next_poly_row(spec: _TriangleSpec, n: int, prev: tuple[Entry, ...]) -> tuple[Poly, ...]:
-    """`_next_row` for polynomial entries, summed on coefficient lists in q."""
-    prev = [_coeff_list(entry) for entry in prev]
-    coeffs = (spec.coeff_a, spec.coeff_b, spec.coeff_c)  # of prev[k - shift]
-    row = []
-    for k in range(spec.k_max(n) + 1):
+def _poly_entries(terms: list, prev: tuple[Entry, ...], size: int) -> Iterator[Poly]:
+    """Entries k < size of `_next_row` for polynomial entries, summed on
+    coefficient lists in q."""
+    padded = [(), (), *map(_coeff_list, prev), *[()] * (size - len(prev))]
+    for k, *gs in zip(range(size), padded[2:], padded[1:], padded):  # gs[shift] is prev[k - shift]
         acc = []
-        for shift, coeff in enumerate(coeffs):
-            if not 0 <= k - shift < len(prev):
-                continue
-            f, g = _coeff_list(coeff(n, k)), prev[k - shift]
-            acc.extend([0] * (len(f) + len(g) - 1 - len(acc)))
-            for i, fi in enumerate(f):
+        for g, shift_terms in zip(gs, terms):
+            acc.extend([0] * (len(shift_terms) + len(g) - 1 - len(acc)))
+            for i, base, ck in shift_terms:
+                fi = base + ck * k
                 if fi:
                     for j, gj in enumerate(g, i):
                         acc[j] += fi * gj
-        row.append(Poly(acc))
-    return tuple(row)
+        yield Poly(acc)
 
 
 def next_row(name: str, n: int, prev: tuple[Entry, ...]) -> tuple[Entry, ...]:

@@ -566,23 +566,36 @@ def check_gamma_roundtrip(hi: int):
 
 @_register("gamma/lambda-vs-semigamma")
 def check_gamma_to_lambda_random(
-    count: int = 200, max_degree: int = 16, **_
+    count: int = 0, max_degree: int = 16, max_n: int | None = None
 ) -> tuple[bool, str]:
-    rng = random.Random(11)
-    for trial in range(count):
-        d = rng.randint(0, max_degree)
-        full = [Fraction(0)] * (d + 1)
-        for i in range(d // 2 + 1):
-            c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            full[i] = c
-            full[d - i] = c
-        p = Poly(full)
-        g = gammalab.gamma_expand(p, 0, d)
-        via_gamma = gammalab.gamma_to_lambda(g)
-        direct = gammalab.semi_gamma_expand(p, 0, d)
-        if via_gamma != direct:
-            return False, f"trial {trial}: lambda mismatch for {p}"
-    return True, f"gamma_to_lambda == semi_gamma_expand on {count} random polynomials"
+    """gamma_to_lambda against semi_gamma_expand on `count` random
+    palindromes, then on each x^i + x^(n-i), of span n = 0..min(max_degree,
+    max_n).  The x^i + x^(n-i) span the polynomials symmetric on [0, n] and
+    both routes are linear, so they decide the routes on every such
+    polynomial."""
+
+    def palindromes(hi: int):
+        rng = random.Random(11)
+        for _ in range(count):
+            d = rng.randint(0, hi)
+            full = [Fraction(0)] * (d + 1)
+            for i in range(d // 2 + 1):
+                full[i] = full[d - i] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            yield d, Poly(full)
+        for d in range(hi + 1):
+            for i in range(d // 2 + 1):
+                yield d, Poly.one().shift(i) + Poly.one().shift(d - i)
+
+    def rows(hi: int):
+        for d, p in palindromes(hi):
+            yield (
+                d,
+                gammalab.gamma_to_lambda(gammalab.gamma_expand(p, 0, d)),
+                gammalab.semi_gamma_expand(p, 0, d),
+            )
+
+    hi = max_degree if max_n is None else min(max_degree, max_n)
+    return _compare(0, hi, "gamma_to_lambda == semi_gamma_expand on x^i + x^(n-i)", rows)
 
 
 @_rows("gamma/positivity-propagation", 1, 12, "gamma-positive rows give nonnegative lambdas")

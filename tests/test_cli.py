@@ -157,6 +157,19 @@ def test_verify_bad_parameter_fails_its_checks_only(capsys):
     assert failed == {"series/pde": "ValueError: order must be at least 2"}
 
 
+def test_verify_negative_max_n_fails_every_gamma_check(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "gamma", "--max-n", "-1")
+    report = json.loads(out)
+    assert code == 1
+    assert not any(c["pass"] for c in report["checks"])
+    lam = next(c for c in report["checks"] if c["check_id"] == "gamma/lambda-vs-semigamma")
+    assert lam["params"] == {"max_n": -1}
+    assert lam["detail"] == (
+        "empty range n=0..-1, nothing checked: "
+        "gamma_to_lambda == semi_gamma_expand on x^i + x^(n-i)"
+    )
+
+
 def test_verify_budget_still_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("ALTRUN_BUDGET", "100")
     code, out, err = run_cli(capsys, "verify", "--suite", "enumeration")

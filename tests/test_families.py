@@ -80,19 +80,73 @@ def test_triangle_unknown():
 def test_Rq_rows_match_Poly_arithmetic_on_the_spec():
     """The coefficient-list kernel against the recurrence in `Poly` arithmetic."""
     spec = families._TRIANGLES["Rq"]
+    q = Poly.x()
+
+    def coeff(triples, n, k):  # sum_j q^j (c0 + cn*n + ck*k)
+        terms = (q**j * (c0 + cn * n + ck * k) for j, (c0, cn, ck) in enumerate(triples))
+        return sum(terms, Poly.zero())
+
     coeffs = (spec.coeff_a, spec.coeff_b, spec.coeff_c)  # of prev[k - shift]
+    p, r, d = spec.k_max
     rows = [spec.first_row]
     for n in range(1, 31):
         prev = rows[-1]
         rows.append(tuple(
             sum(
-                (coeff(n, k) * prev[k - shift]
-                 for shift, coeff in enumerate(coeffs) if 0 <= k - shift < len(prev)),
+                (coeff(triples, n, k) * prev[k - shift]
+                 for shift, triples in enumerate(coeffs) if 0 <= k - shift < len(prev)),
                 Poly.zero(),
             )
-            for k in range(spec.k_max(n) + 1)
+            for k in range(max((p * n + r) // d, 0) + 1)
         ))
     assert triangle("Rq", 30).rows == tuple(rows)
+
+
+def _three_term_rows(first_n, last_n, a, b, c):
+    """Rows first_n..last_n of row[n][k] = a(n,k) prev[k] + b(n,k) prev[k-1]
+    + c(n,k) prev[k-2], k = 0..n - first_n, from the row (1,)."""
+    rows = [(1,)]
+    for n in range(first_n + 1, last_n + 1):
+        prev = (0, 0) + rows[-1] + (0,)  # prev[k] at index k + 2
+        rows.append(tuple(
+            a(n, k) * prev[k + 2] + b(n, k) * prev[k + 1] + c(n, k) * prev[k]
+            for k in range(n - first_n + 1)
+        ))
+    return tuple(rows)
+
+
+def test_R_and_T_are_the_Rq_recurrence_specialized():
+    """R is Rq at q = 2 with n shifted by one, T is Rq at q = 1, and both
+    are the classical recurrences, written out here."""
+    rq = families._TRIANGLES["Rq"]
+    assert families._TRIANGLES["R"] == families._specialize(rq, 2, 1)
+    assert families._TRIANGLES["T"] == families._specialize(rq, 1, 0)
+    assert families._TRIANGLES["R"] == families._TriangleSpec(
+        1, (1,), (1, -1, 1), ((0, 0, 1),), ((2, 0, 0),), ((0, 1, -1),)
+    )
+    assert families._TRIANGLES["T"] == families._TriangleSpec(
+        0, (1,), (1, 0, 1), ((0, 0, 1),), ((1, 0, 0),), ((1, 1, -1),)
+    )
+    r_rows = _three_term_rows(1, 30, lambda n, k: k, lambda n, k: 2, lambda n, k: n - k)
+    t_rows = _three_term_rows(0, 30, lambda n, k: k, lambda n, k: 1, lambda n, k: n - k + 1)
+    assert triangle("R", 30).rows == r_rows
+    assert triangle("T", 30).rows == t_rows
+
+
+@pytest.mark.parametrize("name", [n for n in families.TRIANGLE_FAMILIES if n != "Rq"])
+def test_the_two_kernels_agree_on_every_integer_family(name):
+    """With its first row as constant `Poly`s, an integer family's spec runs
+    through the coefficient-list kernel and gives the integer kernel's rows,
+    as constants."""
+    spec = families._TRIANGLES[name]
+    over_q = spec._replace(first_row=tuple(map(Poly.constant, spec.first_row)))
+    rows = [over_q.first_row]
+    for n in range(spec.min_n + 1, 31):
+        rows.append(families._next_row(over_q, n, rows))
+    int_rows = triangle(name, 30).rows
+    assert all(type(entry) is int for row in int_rows for entry in row)
+    assert all(type(entry) is Poly for row in rows for entry in row)
+    assert rows == [tuple(map(Poly.constant, row)) for row in int_rows]
 
 
 def test_Rq_next_row_accepts_int_entries():

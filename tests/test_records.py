@@ -52,11 +52,11 @@ RECORDS = {
         Triangle("R", 1, ((1,),)), "Triangle(name='R', min_n=1, rows=((1,), (0, 2)))", True,
     ),
     "_TriangleSpec": (
-        _TriangleSpec(1, (1,), abs, max, min, pow), _TriangleSpec(1, (1,), abs, max, min, pow),
-        _TriangleSpec(0, (1,), abs, max, min, pow),
-        "_TriangleSpec(min_n=1, first_row=(1,), k_max=<built-in function abs>, "
-        "coeff_a=<built-in function max>, coeff_b=<built-in function min>, "
-        "coeff_c=<built-in function pow>)",
+        _TriangleSpec(1, (1,), (1, -1, 1), ((0, 0, 1),), ((2, 0, 0),), ((0, 1, -1),)),
+        _TriangleSpec(1, (1,), (1, -1, 1), ((0, 0, 1),), ((2, 0, 0),), ((0, 1, -1),)),
+        _TriangleSpec(1, (1,), (1, -1, 1), ((0, 0, 1),), ((3, 0, 0),), ((0, 1, -1),)),
+        "_TriangleSpec(min_n=1, first_row=(1,), k_max=(1, -1, 1), "
+        "coeff_a=((0, 0, 1),), coeff_b=((2, 0, 0),), coeff_c=((0, 1, -1),))",
         True,
     ),
     "PolySeq": (

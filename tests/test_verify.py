@@ -1,8 +1,10 @@
 """Suite-level behaviour of `verify.run_suite`."""
 
+from math import comb
+
 import pytest
 
-from altrun import families, verify
+from altrun import families, gammalab, verify
 from altrun.families import PolySeq, Triangle
 from altrun.polys import Poly
 
@@ -53,8 +55,9 @@ def test_qrun_recurrence_fails_an_empty_range():
 
 
 def test_negative_max_n_is_an_empty_range_for_every_row_check():
-    # Every check registered by `_rows` fails, as an empty range, before any
-    # row store is asked for a negative index; the others ignore max_n.
+    # Every check that reads max_n fails, as an empty range, before any row
+    # store is asked for a negative index: the checks registered by `_rows`
+    # and gamma/lambda-vs-semigamma.  The others ignore max_n.
     report = verify.run_suite("all", max_n=-1)
     failed = {c.check_id: c.detail for c in report.checks if not c.ok}
     row_checks = {
@@ -62,7 +65,7 @@ def test_negative_max_n_is_an_empty_range_for_every_row_check():
         for check_id, fn in entries if fn.__qualname__.startswith("_rows.")
     }
     assert len(row_checks) == 36
-    assert set(failed) == row_checks
+    assert set(failed) == row_checks | {"gamma/lambda-vs-semigamma"}
     for check_id, detail in failed.items():
         assert detail.startswith("empty range n="), (check_id, detail)
         assert "..-1, nothing checked: " in detail, (check_id, detail)
@@ -82,17 +85,28 @@ def test_compare_states_the_range_it_compared():
     assert verify._compare(0, 5, "capped rows", capped) == (True, "capped rows for n=0..5")
 
 
-# The checks with a body of their own; every other check is a rows generator
-# registered by `_rows` or a pair of series sides registered by `_series`,
-# and so is compared by `_compare`.
-OWN_BODY = {"series/pde", "series/theta", "gamma/lambda-vs-semigamma"}
+# The checks that decide in a body of their own; every other check hands its
+# pairs to `_compare`: a rows generator registered by `_rows`, a pair of
+# series sides registered by `_series`, or the palindromes of
+# gamma/lambda-vs-semigamma.
+OWN_BODY = {"series/pde", "series/theta"}
 
 
-def test_every_other_check_is_compared_by_one_loop():
+def test_every_other_check_is_compared_by_one_loop(monkeypatch):
+    compared = []
+    monkeypatch.setattr(verify, "_compare", lambda *args: compared.append(args) or (True, ""))
     for entries in verify._CHECKS.values():
         for check_id, fn in entries:
-            factory = fn.__qualname__.split(".", 1)[0]
-            assert (factory in ("_rows", "_series")) == (check_id not in OWN_BODY), check_id
+            compared.clear()
+            fn(**{getattr(fn, "arg", "max_n"): 3})
+            assert bool(compared) == (check_id not in OWN_BODY), check_id
+    registered = {
+        check_id: fn.__qualname__.split(".", 1)[0]
+        for entries in verify._CHECKS.values() for check_id, fn in entries
+    }
+    assert {c for c, factory in registered.items() if factory not in ("_rows", "_series")} == (
+        OWN_BODY | {"gamma/lambda-vs-semigamma"}
+    )
 
 
 # Checks that fail when entry k=1 of row 4 of one family is bumped by one,
@@ -263,32 +277,74 @@ def test_corrupted_row_fails_exactly_the_checks_comparing_it(monkeypatch, family
     assert series == CORRUPTED_ROW_SERIES_DETAILS.get(family, {})
 
 
-# One recurrence coefficient bumped by one in `families._TRIANGLES`, and
-# checks that must fail because they read that recurrence: through Fpoly,
-# the row polynomial of F, or through `next_row`.  Rq's q coefficient bumps
-# to the two-term q + 1, so the Rq rows fail every check that reads them.
+# The checks that fail when the constant term c0 of one recurrence
+# coefficient in `families._TRIANGLES` is bumped by one, at max_n=5, order=6:
+# exactly the checks that read that recurrence, through its rows, through
+# Fpoly, the row polynomial of F, or through `next_row`.  Rq's q coefficient
+# bumps to the two-term q + 1.  R and T are Rq's data specialized at q = 2
+# and q = 1, so a bumped Rq reaches every check that reads R or T as well.
+_RQ_READERS = {
+    "enumeration/crun-cyc-vs-Rq", "grammar/qrun-recurrence", "grammar/qrun-triangle",
+    "series/egf-Rq", "series/inclusion-exclusion", "series/pde", "triangles/row-sums",
+}
+_R_AND_T_READERS = {
+    "davidbarton/A-R-certificate", "enumeration/altrun-vs-R", "enumeration/udrun-vs-T",
+    "grammar/doubled", "grammar/extraction-convolution", "grammar/updown", "series/egf-T",
+    "series/egf-carlitz", "triangles/T-from-R", "triangles/leibniz-convolution",
+    "triangles/root-multiplicity",
+}
 BUMPED_COEFF_FAILS = {
-    ("F", "coeff_b"): {"series/F-dual", "series/theta", "triangles/F-two-reassemblies"},
-    ("Rq", "coeff_b"): {
-        "enumeration/crun-cyc-vs-Rq", "grammar/qrun-recurrence", "grammar/qrun-triangle",
-        "series/egf-Rq", "series/inclusion-exclusion", "series/pde", "triangles/Rq-parity",
-        "triangles/row-sums",
+    ("F", "coeff_b"): {
+        "enumeration/dual-stirling-altrun-vs-F", "enumeration/stirling-fap-vs-F",
+        "grammar/plateau-F-triangle", "series/F-dual", "series/theta",
+        "triangles/F-two-reassemblies",
     },
-    ("Rq", "coeff_c"): {"grammar/qrun-recurrence"},
+    ("Rq", "coeff_b"): _RQ_READERS | _R_AND_T_READERS | {"triangles/Rq-parity"},
+    ("Rq", "coeff_c"): _RQ_READERS | _R_AND_T_READERS,
 }
 
 
 @pytest.mark.parametrize("family, coeff", sorted(BUMPED_COEFF_FAILS))
 def test_bumped_recurrence_coefficient_fails_the_checks_reading_it(monkeypatch, family, coeff):
     spec = families._TRIANGLES[family]
-    rule = getattr(spec, coeff)
-    bumped = spec._replace(**{coeff: lambda n, k: rule(n, k) + 1})
+    (c0, cn, ck), *higher = getattr(spec, coeff)  # the q^0 term first
+    bumped = spec._replace(**{coeff: ((c0 + 1, cn, ck), *higher)})
     monkeypatch.setitem(families._TRIANGLES, family, bumped)
+    if family == "Rq":  # rebuild R and T from the bumped data, as families does
+        monkeypatch.setitem(families._TRIANGLES, "R", families._specialize(bumped, 2, 1))
+        monkeypatch.setitem(families._TRIANGLES, "T", families._specialize(bumped, 1, 0))
     monkeypatch.setattr(families, "_TRIANGLE_ROWS", {})
     monkeypatch.setattr(families, "_POLYSEQ_POLYS", {})
     report = verify.run_suite("all", max_n=5, order=6)
-    failed = {c.check_id for c in report.checks if not c.ok}
-    assert BUMPED_COEFF_FAILS[family, coeff] <= failed
+    failed = {c.check_id: c.detail for c in report.checks if not c.ok}
+    assert set(failed) == BUMPED_COEFF_FAILS[family, coeff]
+    # each fails on a wrong row, not on an error raised by the bumped step
+    for check_id, detail in failed.items():
+        assert detail.startswith("mismatch at n=") or check_id in OWN_BODY, detail
+
+
+def _lambdas_by_three(form):
+    """`gammalab.gamma_to_lambda` with 3^(k-i) in place of 2^(k-i)."""
+    m = form.base_degree // 2
+    lambdas = tuple(
+        sum(comb(m - i, k - i) * 3 ** (k - i) * g for i, g in enumerate(form.gammas[: k + 1]))
+        for k in range(m + 1)
+    )
+    return gammalab.SemiGammaForm(form.base_degree % 2, m, lambdas)
+
+
+def test_lambda_vs_semigamma_fails_a_wrong_conversion(monkeypatch):
+    # It draws nothing by default: the palindromes x^i + x^(n-i) decide it.
+    assert verify.check_gamma_to_lambda_random()[0]
+    monkeypatch.setattr(gammalab, "gamma_to_lambda", _lambdas_by_three)
+    ok, detail = verify.check_gamma_to_lambda_random()
+    assert not ok
+    assert detail.startswith("mismatch at n=2: SemiGammaForm(nu=0, half_degree=1, lambdas=")
+    # spans n <= 1 have one lambda, where 3^0 = 2^0, so max_n bounds what is read
+    assert verify.check_gamma_to_lambda_random(max_n=1) == (
+        True, "gamma_to_lambda == semi_gamma_expand on x^i + x^(n-i) for n=0..1"
+    )
+    assert not verify.check_gamma_to_lambda_random(max_n=2)[0]
 
 
 def test_raising_check_fails_on_its_own(monkeypatch):
