@@ -34,9 +34,17 @@ every prefix p of length at least 2: altrun, udrun, des, des_B, altrun_B, ap,
 la and fap are.  A single local statistic on a tail stream is folded through
 the stream's blocks (prefix, state, table): its change over each table is
 counted once per (state, last two letters of the prefix) and its value on
-each prefix once, so no word is built.  Joint distributions, `perm` and the
-other statistics are folded word by word.  The
-cycle statistics `crun` and `cycle_count` walk each cycle once instead of
+each prefix once, so no word is built.
+
+The cycle statistics `crun` and `cyc`, alone or jointly, in any order, on
+`perm` and `derangement`, are folded through a second walk over the same
+permutations, in canonical cycle form: each cycle written from its minimum,
+the cycles by increasing minimum (the fundamental bijection, Stanley, EC1
+1.3).  In that form both statistics add up along the walk, and below four
+values left the completions are counted once per pattern of the state
+(`_cycle_fold`).  Every other joint distribution, every other statistic on
+`perm` and every mix is folded word by word.  The word-level `crun` and
+`cycle_count` stay the definition: they walk each cycle once instead of
 building the standard decomposition, which `cycle_canonical`,
 `crun_of_cycles` and `cycle_runs` still define.
 """
@@ -56,6 +64,8 @@ from .multipoly import MultiPoly
 
 Word = tuple[int, ...]
 Block = tuple[Word, object, list[Word]]  # (prefix, walk state, completions)
+CycleState = tuple[Word, int, bool, bool]  # (values left, last letter, up, may close)
+CycleBlock = tuple[Word, int, int, CycleState | None]  # (prefix, crun, cyc, state)
 
 DEFAULT_BUDGET = 10**8
 
@@ -116,7 +126,30 @@ def _check_budget(kind: str, n: int) -> None:
         raise SizeLimit(f"{kind} n={n} has {count} objects, budget is {budget}")
 
 
-class _TailStream:
+class _Stream:
+    """The words of a class, read once, in lexicographic order.
+
+    `cycles` is (n, shortest) for a class of permutations of [n] whose
+    cycles all have at least `shortest` letters (`perm` and `derangement`),
+    and None for every other class.  For those two classes `cycle_blocks()`
+    walks the same permutations in canonical cycle form (`_cycle_blocks`).
+    """
+
+    def __init__(self, words: Iterator[Word], cycles: tuple[int, int] | None = None):
+        self._words = words
+        self.cycles = cycles
+
+    def __iter__(self) -> Iterator[Word]:
+        return self._words
+
+    def __next__(self) -> Word:
+        return next(self._words)
+
+    def cycle_blocks(self) -> Iterator[CycleBlock]:
+        return _cycle_blocks(*self.cycles)
+
+
+class _TailStream(_Stream):
     """Every word below `root`, in lexicographic order.
 
     `children(state)` yields (letter, child state) by increasing letter.  The
@@ -130,18 +163,13 @@ class _TailStream:
     stops the walk and drops the table.
     """
 
-    def __init__(self, root, children: Callable, cut: Callable, complete: Callable):
+    def __init__(self, root, children: Callable, cut: Callable, complete: Callable,
+                 cycles: tuple[int, int] | None = None):
         self._walk = (root, children, cut, complete)
-        self._words = _joined(self.blocks())
+        super().__init__(_joined(self.blocks()), cycles)
 
     def blocks(self) -> Iterator[Block]:
         return _blocks(*self._walk)
-
-    def __iter__(self) -> Iterator[Word]:
-        return self._words
-
-    def __next__(self) -> Word:
-        return next(self._words)
 
     def close(self) -> None:
         self._words.close()
@@ -205,7 +233,8 @@ def _derangements(n: int) -> Iterator[Word]:
         places = range(i, n + 1)
         return [p for p in permutations(left) if not any(map(eq, p, places))]
 
-    return _TailStream((1, tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 4, complete)
+    return _TailStream((1, tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 4, complete,
+                       cycles=(n, 2))
 
 
 def _stirling_words(n: int, double: bool = False) -> Iterator[Word]:
@@ -256,7 +285,7 @@ def generate(kind: str, n: int) -> Iterator[Word]:
         raise ValueError("n must be nonnegative")
     _check_budget(kind, n)
     if kind == "perm":
-        return iter(permutations(range(1, n + 1)))
+        return _Stream(permutations(range(1, n + 1)), cycles=(n, 1))
     if kind == "signed":
         return _signed_words(n, first_positive=False)
     if kind == "signed_hat":
@@ -561,6 +590,106 @@ def dual_map(word: Sequence[int]) -> Word:
 
 
 # ---------------------------------------------------------------------------
+# the canonical-cycle-form walk
+# ---------------------------------------------------------------------------
+
+# The walk writes a permutation's canonical cycle form (`cycle_canonical`)
+# as one word, with a 0 after each cycle: (3, 1, 2) is (1, 3, 2, 0) and
+# (2, 1, 4, 3) is (1, 2, 0, 3, 4, 0).  A state is (values left, increasing;
+# the last letter; whether the last step rose; whether the open cycle may
+# close).  Each cycle opens at the least value left, so the open cycle's
+# minimum lies below every letter still to come and the state need not
+# carry it.  None is the state after the last cycle has closed.
+
+
+def _cycle_steps(
+    state: CycleState, shortest: int
+) -> Iterator[tuple[Word, int, int, CycleState | None]]:
+    """(letters, added crun, added cyc, child state) for each step from `state`.
+
+    The rules are those of `crun`'s own loop: opening a cycle adds one run
+    and one cycle; the first step from the minimum goes up; each change of
+    direction adds a run; closing a cycle after a descent adds the run of
+    the appended infinity.  A new cycle may close once it has `shortest`
+    letters, which is 1 or 2.
+    """
+    left, last, up, may_close = state
+    if may_close:
+        infinity_run = 0 if up else 1
+        if left:
+            low = left[0]
+            yield (0, low), infinity_run + 1, 1, (left[1:], low, True, shortest == 1)
+        else:
+            yield (0,), infinity_run, 0, None
+    for i, v in enumerate(left):
+        rise = v > last
+        yield (v,), rise != up, 0, (left[:i] + left[i + 1:], v, rise, True)
+
+
+def _cycle_tails(state: CycleState | None, shortest: int) -> Iterator[tuple[Word, int, int]]:
+    """(letters, added crun, added cyc) for each completion of `state`."""
+    if state is None:
+        yield (), 0, 0
+        return
+    for letters, runs, cycles, child in _cycle_steps(state, shortest):
+        for tail, more_runs, more_cycles in _cycle_tails(child, shortest):
+            yield letters + tail, runs + more_runs, cycles + more_cycles
+
+
+def _cycle_blocks(n: int, shortest: int) -> Iterator[CycleBlock]:
+    """(prefix, crun, cyc, state) for each state the walk reaches with fewer
+    than four values left: the cycle form written so far, its cycle runs and
+    cycles so far, and the state whose completions (`_cycle_tails`) end it.
+    Each permutation of [n] whose cycles have at least `shortest` letters is
+    one prefix joined with one completion."""
+
+    def walk(state, prefix: Word, runs: int, cycles: int) -> Iterator[CycleBlock]:
+        if state is None or len(state[0]) < 4:
+            yield prefix, runs, cycles, state
+            return
+        for letters, more_runs, more_cycles, child in _cycle_steps(state, shortest):
+            yield from walk(child, prefix + letters, runs + more_runs, cycles + more_cycles)
+
+    if n == 0:
+        return iter([((), 0, 0, None)])
+    return walk((tuple(range(2, n + 1)), 1, True, shortest == 1), (1,), 1, 1)  # 1 opens
+
+
+def _cycle_key(state: CycleState | None) -> tuple | None:
+    """(values left, rank of the last letter among them, direction, may close)."""
+    if state is None:
+        return None
+    left, last, up, may_close = state
+    return len(left), bisect_left(left, last), up, may_close
+
+
+def _cycle_fold(blocks: Iterator[CycleBlock], shortest: int) -> Counter:
+    """The joint distribution of (crun, cyc) over the permutations of `blocks`.
+
+    What a completion adds to crun and cyc depends only on the relative
+    order of the last letter and the values left (the open cycle's minimum
+    lies below them all), on the direction of the last step and on whether
+    the open cycle may close.  So the completions are counted once per
+    `_cycle_key`, from the first state with that key, and each prefix once.
+    """
+    heads: Counter = Counter()  # (crun, cyc, key) -> prefixes
+    firsts: dict = {}  # key -> the first state with that key
+    for _, runs, cycles, state in blocks:
+        key = _cycle_key(state)
+        firsts.setdefault(key, state)
+        heads[runs, cycles, key] += 1
+    tables = {
+        key: Counter((runs, cycles) for _, runs, cycles in _cycle_tails(state, shortest))
+        for key, state in firsts.items()
+    }
+    values: Counter = Counter()
+    for (runs, cycles, key), count in heads.items():
+        for (more_runs, more_cycles), times in tables[key].items():
+            values[runs + more_runs, cycles + more_cycles] += count * times
+    return values
+
+
+# ---------------------------------------------------------------------------
 # statistic dispatch
 # ---------------------------------------------------------------------------
 
@@ -607,6 +736,10 @@ _LOCAL_STATS = frozenset({
     ascent_plateaus, left_ascent_plateaus, flag_ascent_plateaus,
 })
 
+# The statistics `distribution` folds through the canonical-cycle-form walk,
+# each with its index in the walk's (crun, cyc).
+_CYCLE_STATS = {crun: 0, cycle_count: 1}
+
 STAT_NAMES = tuple(
     sorted(set(_PERM_STATS) | set(_SIGNED_STATS) | set(_STIRLING_STATS))
 )
@@ -634,13 +767,19 @@ def distribution(
 ) -> MultiPoly:
     """Sum over all objects of prod variable^statistic, exactly.
 
-    `stats` is a nonempty sequence of (statistic name, variable name) pairs.
-    A single local statistic (see `_LOCAL_STATS`) on a tail-stream class is
-    folded block by block: f(prefix + tail) = f(prefix) + f(key + tail) -
-    f(key), with key the last two letters of the prefix, so f(key + tail) -
-    f(key) is counted once per (state, key) over the state's table of tails
-    and f(prefix) once per prefix.  Every other statistic, every joint
-    distribution and every `perm` distribution is folded word by word.
+    `stats` is a nonempty sequence of (statistic name, variable name) pairs
+    with distinct variable names; repeated names fail before any object is
+    generated.  A single local statistic (see `_LOCAL_STATS`) on a
+    tail-stream class is folded block by block: f(prefix + tail) = f(prefix)
+    + f(key + tail) - f(key), with key the last two letters of the prefix, so
+    f(key + tail) - f(key) is counted once per (state, key) over the state's
+    table of tails and f(prefix) once per prefix.  On `perm` and
+    `derangement`, statistics that are all `crun` or `cyc` (see
+    `_CYCLE_STATS`) are folded through the canonical-cycle-form walk
+    (`_cycle_fold`) and the joint (crun, cyc) counts projected onto them.
+    Every other statistic, joint distribution and `perm` distribution is
+    folded word by word.  The stream always comes from `generate`, which
+    enforces the enumeration budget.
 
     >>> str(distribution("perm", 3, [("altrun", "x")]))
     '2*x + 4*x^2'
@@ -653,7 +792,15 @@ def distribution(
     if not fns:
         raise ValueError("no statistic given")
     variables = tuple(var for _, var in stats)
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"variable names must be distinct, got {', '.join(variables)}")
     words = generate(kind, n)
+    if isinstance(words, _Stream) and words.cycles and all(fn in _CYCLE_STATS for fn in fns):
+        at = [_CYCLE_STATS[fn] for fn in fns]
+        counts = Counter()
+        for pair, count in _cycle_fold(words.cycle_blocks(), words.cycles[1]).items():
+            counts[tuple(pair[i] for i in at)] += count
+        return MultiPoly(variables, counts)
     if len(fns) > 1:
         streams = tee(words, len(fns))
         counts = Counter(zip(*(map(fn, copy) for fn, copy in zip(fns, streams))))

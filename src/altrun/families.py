@@ -25,7 +25,9 @@ Each family keeps one growable list of the rows (or polynomials) computed so
 far.  A call extends that list from its last entry up to the requested index
 and returns a `Triangle` / `PolySeq` over the leading slice, so asking for
 rows 1..n after rows 1..n-1 costs one new row, not n.  Fpoly, gammapoly and
-the Eulerian polynomials read their one row from that list, without a copy.
+the Eulerian polynomials read their one row from that list, without a copy,
+and `eulerian` reads the store of the eulerA or eulerB sequence, which
+`polyseq` reads too.
 
 Each triangle's recurrence is data (`_TriangleSpec`): row n holds
 k = 0..max((p*n + r) // d, 0) and row[n][k] = A prev[k] + B prev[k-1] +
@@ -341,11 +343,16 @@ def eulerian(n: int, kind: str) -> Poly:
     """Type A or B Eulerian polynomial assembled from its gamma expansion.
 
     A_n = sum_k a(n,k) x^k (1+x)^(n+1-2k) and B_n = sum_k b(n,k) x^k (1+x)^(n-2k).
+    Read from the store of the eulerA or eulerB sequence.
     """
     if kind not in ("A", "B"):
         raise UnknownFamily(f"eulerian kind must be 'A' or 'B', got {kind!r}")
     if n < 1:
         raise ValueError(f"type {kind} defined for n >= 1")
+    return _stored_polys("euler" + kind, n)[n - 1]
+
+
+def _step_eulerian(kind: str, n: int, prev: list[Poly]) -> Poly:
     top = n + 1 if kind == "A" else n
     return GammaForm(top, _row(kind.lower(), n)).reassemble()
 
@@ -362,26 +369,32 @@ _POLYSEQS: dict[str, _SeqSpec] = {
     "dpoly": _SeqSpec(0, (Poly.one(), Poly.zero()), _step_dpoly),
     "gammapoly": _SeqSpec(0, (), lambda n, prev: Poly(_row("gamma", n))),
     "Fpoly": _SeqSpec(0, (), lambda n, prev: Poly(_row("F", n))),
-    "eulerA": _SeqSpec(1, (), lambda n, prev: eulerian(n, "A")),
-    "eulerB": _SeqSpec(1, (), lambda n, prev: eulerian(n, "B")),
+    "eulerA": _SeqSpec(1, (), partial(_step_eulerian, "A")),
+    "eulerB": _SeqSpec(1, (), partial(_step_eulerian, "B")),
 }
 
 POLY_FAMILIES = tuple(_POLYSEQS)
 
-# polys[i] of family `name` has index min_n + i; extended on demand by `polyseq`
+# polys[i] of family `name` has index min_n + i; extended on demand by `_stored_polys`
 _POLYSEQ_POLYS: dict[str, list[Poly]] = {}
 
 
-def polyseq(name: str, max_n: int) -> PolySeq:
-    """The named polynomial sequence through index max_n, extending the store."""
+def _stored_polys(name: str, max_n: int) -> list[Poly]:
+    """The store of the named polynomial sequence, extended through index max_n."""
     if name not in _POLYSEQS:
         raise UnknownFamily(f"unknown polynomial family {name!r}")
     spec = _POLYSEQS[name]
     if max_n < spec.min_n:
         raise ValueError(f"family {name!r} starts at index {spec.min_n}")
     polys = _POLYSEQ_POLYS.setdefault(name, list(spec.initial))
-    polys = _extend(polys, spec.min_n, max_n, spec.step)
-    return PolySeq(name, spec.min_n, tuple(polys[: max_n - spec.min_n + 1]))
+    return _extend(polys, spec.min_n, max_n, spec.step)
+
+
+def polyseq(name: str, max_n: int) -> PolySeq:
+    """The named polynomial sequence through index max_n, extending the store."""
+    polys = _stored_polys(name, max_n)
+    min_n = _POLYSEQS[name].min_n
+    return PolySeq(name, min_n, tuple(polys[: max_n - min_n + 1]))
 
 
 # ---------------------------------------------------------------------------

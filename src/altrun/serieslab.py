@@ -488,11 +488,12 @@ def _rq_rows(order: int, mutate: tuple[int, int] | None = None) -> list[MultiPol
     return rows
 
 
-def pde_check(order: int, mutate: tuple[int, int] | None = None) -> bool:
+def pde_check(order: int, mutate: tuple[int, int] | None = None) -> int | None:
     """(1 - x^2 z) dR/dz = x(1-x^2) dR/dx + q x R, compared through order-1.
 
     On EGF coefficients, n! [z^n] of the two sides is
-    R_(n+1) - n x^2 R_n = x(1-x^2) R_n' + q x R_n.
+    R_(n+1) - n x^2 R_n = x(1-x^2) R_n' + q x R_n.  Returns the first n
+    where the two sides part, or None when they agree for every n < order.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -505,8 +506,8 @@ def pde_check(order: int, mutate: tuple[int, int] | None = None) -> bool:
         lhs = r[n + 1] - n * x2 * r[n]
         rhs = growth * r[n].derivative("x") + q * x * r[n]
         if lhs != rhs:
-            return False
-    return True
+            return n
+    return None
 
 
 _DISC_R = RatFunc(Poly([1, 1]), Poly([1, -1]))  # r^2 = (1+x)/(1-x)
@@ -539,14 +540,15 @@ def theta_expected_odd_form(m: int) -> QuadExt:
     return QuadExt.scalar(scalar, _DISC_R) / QuadExt.radical(_DISC_R)
 
 
-def theta_check(max_n: int) -> bool:
-    """theta^n r equals its closed form for 0 <= n <= max_n."""
+def theta_check(max_n: int) -> int | None:
+    """The first n <= max_n where theta^n r differs from its closed form (or,
+    for odd n, from its odd-index form), or None when every n agrees."""
     value = QuadExt.radical(_DISC_R)
     x = RatFunc.x()
     for n in range(max_n + 1):
         if value != theta_expected(n):
-            return False
+            return n
         if n % 2 == 1 and value != theta_expected_odd_form((n - 1) // 2):
-            return False
+            return n
         value = value.derivative() * x
-    return True
+    return None

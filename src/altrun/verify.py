@@ -531,9 +531,10 @@ check_series_F_dual = _series(
 
 @_register("series/pde", "order")
 def check_series_pde(order: int = 12, **_) -> tuple[bool, str]:
-    if not serieslab.pde_check(order):
-        return False, "PDE fails on the true triangle"
-    if serieslab.pde_check(order, mutate=(3, 2)):
+    n = serieslab.pde_check(order)
+    if n is not None:
+        return False, f"PDE fails at n={n} on the Rq rows"
+    if serieslab.pde_check(order, mutate=(3, 2)) is None:
         return False, "PDE check is insensitive to a mutated entry"
     return True, f"PDE holds through order {order} and rejects a mutated entry"
 
@@ -543,8 +544,9 @@ def check_series_theta(order: int = 10, **_) -> tuple[bool, str]:
     hi, what = min(order, 10), "theta^n r = r F_n/(1-x^2)^n"
     if hi < 0:
         return _empty(0, hi, what)
-    if not serieslab.theta_check(hi):
-        return False, "theta-operator identity fails"
+    n = serieslab.theta_check(hi)
+    if n is not None:
+        return False, f"theta-operator identity fails at n={n}"
     return True, f"{what} for n=0..{hi}"
 
 

@@ -115,6 +115,16 @@ def test_malformed_budget_exit_2(capsys, monkeypatch):
     assert "invalid literal" not in err_text
 
 
+def test_repeated_dist_vars_exit_2_before_enumerating(capsys, monkeypatch):
+    from altrun import enumeration
+
+    monkeypatch.setattr(enumeration, "generate", None)  # a call would raise TypeError
+    with pytest.raises(SystemExit) as err:
+        main(["dist", "--class", "perm", "--stat", "altrun,des", "--vars", "x,x", "--n", "9"])
+    assert err.value.code == 2
+    assert "variable names must be distinct, got x, x" in capsys.readouterr().err
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     from altrun import verify
 

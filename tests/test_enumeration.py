@@ -327,3 +327,118 @@ def test_derangement_crun_matches_d():
     for n in range(1, 6):
         dist = en.distribution("derangement", n, [("crun", "x")]).as_poly("x")
         assert dist == seq.poly(n)
+
+
+CYCLE_SIZES = {"perm": range(8), "derangement": range(9)}
+
+
+def _cycles_of(form):
+    """The cycles of a cycle-form word, which has a 0 after each cycle."""
+    cycles, cycle = [], []
+    for letter in form:
+        if letter:
+            cycle.append(letter)
+        else:
+            cycles.append(tuple(cycle))
+            cycle = []
+    assert not cycle
+    return cycles
+
+
+def test_cycle_walk_visits_each_object_once_with_its_statistics():
+    for kind, sizes in CYCLE_SIZES.items():
+        for n in sizes:
+            stream = en.generate(kind, n)
+            shortest = stream.cycles[1]
+            seen = Counter()
+            for prefix, runs, cycles, state in stream.cycle_blocks():
+                for tail, more_runs, more_cycles in en._cycle_tails(state, shortest):
+                    word = en.cycles_to_word(_cycles_of(prefix + tail), n)
+                    assert runs + more_runs == en.crun(word), (kind, word)
+                    assert cycles + more_cycles == en.cycle_count(word), (kind, word)
+                    seen[word] += 1
+            assert seen == Counter(en.generate(kind, n)), (kind, n)
+
+
+CYCLE_STAT_SETS = (
+    [("crun", "x")],
+    [("cyc", "q")],
+    [("crun", "x"), ("cyc", "q")],
+    [("cyc", "q"), ("crun", "x")],
+    [("crun", "x"), ("crun", "y")],
+)
+
+
+def _word_distribution(kind, n, stats):
+    fns = [en._statistic(kind, name) for name, _ in stats]
+    counts = Counter(tuple(fn(w) for fn in fns) for w in en.generate(kind, n))
+    return MultiPoly(tuple(var for _, var in stats), counts)
+
+
+def _cycle_fold_mismatches(kind, stats, sizes):
+    """The n at which `distribution` of `stats` differs from a word-by-word count."""
+    return [n for n in sizes
+            if en.distribution(kind, n, stats) != _word_distribution(kind, n, stats)]
+
+
+@pytest.mark.parametrize("stats", CYCLE_STAT_SETS, ids=lambda s: ",".join(n for n, _ in s))
+def test_cycle_fold_equals_the_word_fold(monkeypatch, stats):
+    folded = []
+    real = en._cycle_fold
+    monkeypatch.setattr(en, "_cycle_fold", lambda *a: folded.append(a) or real(*a))
+    for kind, sizes in CYCLE_SIZES.items():
+        assert _cycle_fold_mismatches(kind, stats, sizes) == [], kind
+    assert len(folded) == len(CYCLE_SIZES["perm"]) + len(CYCLE_SIZES["derangement"])
+
+
+def test_other_statistics_bypass_the_cycle_fold(monkeypatch):
+    monkeypatch.setattr(en, "_cycle_fold", None)  # any call raises TypeError
+    for kind, stats in (("perm", [("crun", "x"), ("fix", "y")]), ("derangement", [("cpk", "x")]),
+                        ("dual_stirling", [("crun", "x")]), ("perm", [("altrun", "x")])):
+        assert en.distribution(kind, 5, stats) == _word_distribution(kind, 5, stats)
+
+
+def _dropping_the_infinity_run(steps):
+    def mutant(state, shortest):
+        for letters, runs, cycles, child in steps(state, shortest):
+            closes_after_a_descent = letters[0] == 0 and not state[2]
+            yield letters, runs - closes_after_a_descent, cycles, child
+
+    return mutant
+
+
+def _key_without_direction(key):
+    def mutant(state):
+        full = key(state)
+        return full and full[:2] + full[3:]
+
+    return mutant
+
+
+CRUN_CYC = [("crun", "x"), ("cyc", "q")]
+
+
+@pytest.mark.parametrize("stats, mutate", [
+    (CRUN_CYC, lambda mp: mp.setattr(en, "_cycle_steps", _dropping_the_infinity_run(en._cycle_steps))),
+    (CRUN_CYC, lambda mp: mp.setattr(en, "_cycle_key", _key_without_direction(en._cycle_key))),
+    ([("altrun", "x"), ("cyc", "q")], lambda mp: mp.setitem(en._CYCLE_STATS, en.altrun, 0)),
+], ids=["infinity-run-dropped", "key-without-direction", "altrun-admitted"])
+def test_a_broken_cycle_fold_fails_against_the_word_oracle(monkeypatch, stats, mutate):
+    # The word-level statistics stay the definition: a walk that drops the
+    # infinity run, tables shared across directions, or a non-cycle
+    # statistic read off the walk must each give a wrong distribution.
+    mutate(monkeypatch)
+    for kind, sizes in CYCLE_SIZES.items():
+        assert _cycle_fold_mismatches(kind, stats, sizes), kind
+
+
+def test_repeated_variable_names_fail_before_generating(monkeypatch):
+    def refuse(kind, n):
+        raise AssertionError("generate called")
+
+    monkeypatch.setattr(en, "generate", refuse)
+    for kind, stats in (("perm", [("altrun", "x"), ("des", "x")]),
+                        ("derangement", [("crun", "x"), ("crun", "x")]),
+                        ("stirling", [("fap", "t"), ("ap", "u"), ("la", "t")])):
+        with pytest.raises(ValueError, match="variable names must be distinct"):
+            en.distribution(kind, 9, stats)

@@ -5,7 +5,6 @@ from math import comb
 import pytest
 
 from altrun import families, gammalab, verify
-from altrun.families import PolySeq, Triangle
 from altrun.polys import Poly
 
 EMPTY_AT_MAX_N_1 = {
@@ -192,7 +191,7 @@ CORRUPTED_ROW_FAILS = {
 
 _F_SERIES_DETAILS = {
     "series/F-dual": "mismatch at n=4: x + 7*x^2 + 29*x^3 + 31*x^4 + 29*x^5 + 7*x^6 + x^7 vs 2*x + 7*x^2 + 29*x^3 + 31*x^4 + 29*x^5 + 7*x^6 + x^7",
-    "series/theta": "theta-operator identity fails",
+    "series/theta": "theta-operator identity fails at n=4",
 }
 
 # The detail of each failing series check in those runs: the first index
@@ -207,7 +206,7 @@ CORRUPTED_ROW_SERIES_DETAILS = {
     "Rq": {
         "series/egf-Rq": "mismatch at n=4: x*q + 7*x^2*q^2 + 5*x^3*q + 6*x^3*q^3 + 4*x^4*q^2 + x^4*q^4 vs x + x*q + 7*x^2*q^2 + 5*x^3*q + 6*x^3*q^3 + 4*x^4*q^2 + x^4*q^4",
         "series/inclusion-exclusion": "mismatch at n=4: x*q + 3*x^2*q^2 + 5*x^3*q + 4*x^2*y*q^2 + 4*x^4*y*q^2 + 6*x^3*y^2*q^3 + x^4*y^4*q^4 vs x + x*q + 3*x^2*q^2 + 5*x^3*q + 4*x^2*y*q^2 + 4*x^4*y*q^2 + 6*x^3*y^2*q^3 + x^4*y^4*q^4",
-        "series/pde": "PDE fails on the true triangle",
+        "series/pde": "PDE fails at n=3 on the Rq rows",
     },
     "T": {
         "series/egf-T": "mismatch at n=4: x + 7*x^2 + 11*x^3 + 5*x^4 vs 2*x + 7*x^2 + 11*x^3 + 5*x^4",
@@ -221,55 +220,38 @@ CORRUPTED_ROW_SERIES_DETAILS = {
 }
 
 
-def _corrupt(monkeypatch, family: str) -> None:
-    """Bump entry k=1 of row 4 of `family` in everything verify reads."""
+# Past every row or polynomial that `verify` reads at max_n=5, order=6.
+_STORED_THROUGH = 20
+
+
+def _corrupt(monkeypatch, family: str) -> list:
+    """Bump entry k=1 of row 4 of `family` in its row store; return the store.
+
+    The store is first extended past every index that verify reads, so
+    every reader, however it reaches the store, sees the bumped entry, and
+    no later entry is computed from it.
+    """
     # fresh row stores, so corrupted rows cannot leak into later tests
     monkeypatch.setattr(families, "_TRIANGLE_ROWS", {})
     monkeypatch.setattr(families, "_POLYSEQ_POLYS", {})
-    triangle, polyseq, eulerian = families.triangle, families.polyseq, families.eulerian
-    read_row = families._row  # how Fpoly, gammapoly and eulerian read a row
-
-    def bumped_triangle(name, max_n):
-        tri = triangle(name, max_n)
-        if name != family or tri.max_n < 4:
-            return tri
-        rows = list(tri.rows)
-        row = list(rows[4 - tri.min_n])
-        row[1] = row[1] + 1
-        rows[4 - tri.min_n] = tuple(row)
-        return Triangle(tri.name, tri.min_n, tuple(rows))
-
-    def bumped_row(name, n):
-        row = read_row(name, n)
-        if (name, n) != (family, 4):
-            return row
-        return row[:1] + (row[1] + 1,) + row[2:]
-
-    def bumped_polyseq(name, max_n):
-        seq = polyseq(name, max_n)
-        if name != family or seq.max_n < 4:
-            return seq
-        polys = list(seq.polys)
-        polys[4 - seq.min_n] = polys[4 - seq.min_n] + Poly.x()
-        return PolySeq(seq.name, seq.min_n, tuple(polys))
-
-    def bumped_eulerian(n, kind):
-        poly = eulerian(n, kind)
-        return poly + Poly.x() if (n, "euler" + kind) == (4, family) else poly
-
     if family in families.TRIANGLE_FAMILIES:
-        monkeypatch.setattr(families, "triangle", bumped_triangle)
-        monkeypatch.setattr(families, "_row", bumped_row)
-    elif family in ("eulerA", "eulerB"):
-        monkeypatch.setattr(families, "eulerian", bumped_eulerian)
+        families.triangle(family, _STORED_THROUGH)
+        store, min_n = families._TRIANGLE_ROWS[family], families._TRIANGLES[family].min_n
+        row = store[4 - min_n]
+        store[4 - min_n] = row[:1] + (row[1] + 1,) + row[2:]
     else:
-        monkeypatch.setattr(families, "polyseq", bumped_polyseq)
+        families.polyseq(family, _STORED_THROUGH)
+        store, min_n = families._POLYSEQ_POLYS[family], families._POLYSEQS[family].min_n
+        store[4 - min_n] = store[4 - min_n] + Poly.x()
+    return store
 
 
 @pytest.mark.parametrize("family", sorted(CORRUPTED_ROW_FAILS))
 def test_corrupted_row_fails_exactly_the_checks_comparing_it(monkeypatch, family):
-    _corrupt(monkeypatch, family)
+    store = _corrupt(monkeypatch, family)
+    stored = len(store)
     report = verify.run_suite("all", max_n=5, order=6)
+    assert len(store) == stored  # verify read nothing past the corrupted store
     assert len(report.checks) == 49
     failed = {c.check_id: c.detail for c in report.checks if not c.ok}
     assert set(failed) == CORRUPTED_ROW_FAILS[family]
