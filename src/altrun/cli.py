@@ -77,11 +77,7 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    seq = families.polyseq(args.family, max(args.n, 1))
-    try:
-        print(seq.poly(args.n))
-    except IndexError as exc:
-        raise UnknownFamily(str(exc))
+    print(families.polyseq(args.family, args.n).poly(args.n))
     return 0
 
 

@@ -9,15 +9,16 @@ Classes of objects (all streamed in lexicographic order of the printed word):
     stirling       words over {1,1,...,n,n} with the nesting condition
     dual_stirling  images of Stirling words under the doubling map
 
-Every stream but `perm` is one walk: Python writes the letters of a prefix
-in increasing order until only a few letters are left to choose, and then
-appends to the prefix each entry of a table that lists every completion of
-that state in lexicographic order.  The table is built once per distinct
-state, so most words cost one tuple concatenation, and it is dropped when
-the stream ends or is closed.  The tail starts with at most two Stirling
-values left to open, four derangement positions or three signed absolute
-values left to place; derangement tails are `itertools.permutations`
-filtered against their positions.
+Streams are plain iterators.  `perm` is `itertools.permutations`; every
+other class is a walk, built by its entry in `_WALKS`: Python writes the
+letters of a prefix in increasing order until only a few letters are left
+to choose, and then appends to the prefix each entry of a table that lists
+every completion of that state in lexicographic order.  The table is built
+once per distinct state, so most words cost one tuple concatenation, and it
+is dropped when the stream ends or is closed.  The tail starts with at most
+two Stirling values left to open, four derangement positions or three
+signed absolute values left to place; derangement tails are
+`itertools.permutations` filtered against their positions.
 
 Every stream is valid by construction: the Stirling walk only ever closes
 the innermost open pair or opens a value above it, and the completions of a
@@ -31,22 +32,22 @@ Statistics are plain functions on tuples; `stat` dispatches by class name and
 distributions are the brute-force oracle for the recurrence triangles.  A
 statistic f is local when f(p + t) = f(p) + f(p[-2:] + t) - f(p[-2:]) for
 every prefix p of length at least 2: altrun, udrun, des, des_B, altrun_B, ap,
-la and fap are.  A single local statistic on a tail stream is folded through
-the stream's blocks (prefix, state, table): its change over each table is
-counted once per (state, last two letters of the prefix) and its value on
-each prefix once, so no word is built.
+la and fap are.  A single local statistic on a class with a walk is folded
+through the walk's blocks (prefix, state, table): its change over each
+table is counted once per (state, last two letters of the prefix) and its
+value on each prefix once, so no word is built.
 
 The cycle statistics `crun` and `cyc`, alone or jointly, in any order, on
-`perm` and `derangement`, are folded through a second walk over the same
-permutations, in canonical cycle form: each cycle written from its minimum,
-the cycles by increasing minimum (the fundamental bijection, Stanley, EC1
-1.3).  In that form both statistics add up along the walk, and below four
-values left the completions are counted once per pattern of the state
-(`_cycle_fold`).  Every other joint distribution, every other statistic on
-`perm` and every mix is folded word by word.  The word-level `crun` and
-`cycle_count` stay the definition: they walk each cycle once instead of
-building the standard decomposition, which `cycle_canonical`,
-`crun_of_cycles` and `cycle_runs` still define.
+the classes of `_SHORTEST` (`perm` and `derangement`), are folded through a
+second walk over the same permutations, in canonical cycle form: each cycle
+written from its minimum, the cycles by increasing minimum (the fundamental
+bijection, Stanley, EC1 1.3).  In that form both statistics add up along
+the walk (`_cycle_walk`), and below four values left the completions are
+counted once per pattern of the state (`_cycle_fold`).  Every other joint
+distribution, every other statistic on `perm` and every mix is folded word
+by word.  The word-level `crun` and `cycle_count` stay the definition: they
+walk each cycle once instead of building the standard decomposition, which
+`cycle_canonical`, `crun_of_cycles` and `cycle_runs` still define.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .multipoly import MultiPoly
 
 Word = tuple[int, ...]
 Block = tuple[Word, object, list[Word]]  # (prefix, walk state, completions)
+Walk = tuple[object, Callable, Callable, Callable]  # (root, children, cut, complete)
 CycleState = tuple[Word, int, bool, bool]  # (values left, last letter, up, may close)
 CycleBlock = tuple[Word, int, int, CycleState | None]  # (prefix, crun, cyc, state)
 
@@ -126,59 +128,14 @@ def _check_budget(kind: str, n: int) -> None:
         raise SizeLimit(f"{kind} n={n} has {count} objects, budget is {budget}")
 
 
-class _Stream:
-    """The words of a class, read once, in lexicographic order.
-
-    `cycles` is (n, shortest) for a class of permutations of [n] whose
-    cycles all have at least `shortest` letters (`perm` and `derangement`),
-    and None for every other class.  For those two classes `cycle_blocks()`
-    walks the same permutations in canonical cycle form (`_cycle_blocks`).
-    """
-
-    def __init__(self, words: Iterator[Word], cycles: tuple[int, int] | None = None):
-        self._words = words
-        self.cycles = cycles
-
-    def __iter__(self) -> Iterator[Word]:
-        return self._words
-
-    def __next__(self) -> Word:
-        return next(self._words)
-
-    def cycle_blocks(self) -> Iterator[CycleBlock]:
-        return _cycle_blocks(*self.cycles)
-
-
-class _TailStream(_Stream):
-    """Every word below `root`, in lexicographic order.
+def _blocks(root, children: Callable, cut: Callable, complete: Callable) -> Iterator[Block]:
+    """(prefix, state, completions) for every word below `root`, in word order.
 
     `children(state)` yields (letter, child state) by increasing letter.  The
     walk writes letters until `cut(state)` holds; then `complete(state)`
     lists every completion of that state in lexicographic order, once per
-    distinct state, and each is appended to the prefix.  The table of
-    completions lives only as long as the walk.
-
-    `blocks()` is the walk itself: (prefix, state, completions) in word
-    order.  Iterating the stream joins its blocks into words; `close()`
-    stops the walk and drops the table.
+    distinct state.  The table of completions lives only as long as the walk.
     """
-
-    def __init__(self, root, children: Callable, cut: Callable, complete: Callable,
-                 cycles: tuple[int, int] | None = None):
-        self._walk = (root, children, cut, complete)
-        super().__init__(_joined(self.blocks()), cycles)
-
-    def blocks(self) -> Iterator[Block]:
-        return _blocks(*self._walk)
-
-    def close(self) -> None:
-        self._words.close()
-
-
-# A function, not a method, so that a running walk holds no reference to its
-# stream: a stream dropped half read is freed, table and all, without waiting
-# for the cyclic collector.
-def _blocks(root, children: Callable, cut: Callable, complete: Callable) -> Iterator[Block]:
     def walk(state, prefix: Word) -> Iterator[tuple[Word, object]]:
         if cut(state):
             yield prefix, state
@@ -202,7 +159,7 @@ def _joined(blocks: Iterator[Block]) -> Iterator[Word]:
         yield from map(prefix.__add__, tails)
 
 
-def _signed_words(n: int, first_positive: bool) -> Iterator[Word]:
+def _signed_words(n: int, first_positive: bool) -> Walk:
     # A state is the tuple of absolute values not yet written; the word is
     # at its first letter exactly when all n are left.
     def children(left: Word) -> Iterator[tuple[int, Word]]:
@@ -215,10 +172,10 @@ def _signed_words(n: int, first_positive: bool) -> Iterator[Word]:
             return [()]
         return [(v, *tail) for v, child in children(left) for tail in complete(child)]
 
-    return _TailStream(tuple(range(1, n + 1)), children, lambda left: len(left) <= 3, complete)
+    return tuple(range(1, n + 1)), children, lambda left: len(left) <= 3, complete
 
 
-def _derangements(n: int) -> Iterator[Word]:
+def _derangements(n: int) -> Walk:
     # A state is (next position, values left).  The walk skips fixed points;
     # with four values left, their permutations are filtered against the
     # four positions left.
@@ -233,11 +190,10 @@ def _derangements(n: int) -> Iterator[Word]:
         places = range(i, n + 1)
         return [p for p in permutations(left) if not any(map(eq, p, places))]
 
-    return _TailStream((1, tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 4, complete,
-                       cycles=(n, 2))
+    return (1, tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 4, complete
 
 
-def _stirling_words(n: int, double: bool = False) -> Iterator[Word]:
+def _stirling_words(n: int, double: bool = False) -> Walk:
     # A state is (stack of open values, values not yet opened).  Open values
     # nest (LIFO): a value opened inside the pair of t must exceed t, so the
     # smallest legal next letter is always "close the top", then unopened
@@ -276,27 +232,27 @@ def _stirling_words(n: int, double: bool = False) -> Iterator[Word]:
         above = len(stack) - bisect_left(stack, u)
         return [(*rest[:k], *pair, *rest[k:]) for k in range(len(stack), above - 1, -1)]
 
-    return _TailStream(((), tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 2, complete)
+    return ((), tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 2, complete
+
+
+# The walk of every class but `perm`, by class name.
+_WALKS: dict[str, Callable[[int], Walk]] = {
+    "signed": lambda n: _signed_words(n, first_positive=False),
+    "signed_hat": lambda n: _signed_words(n, first_positive=True),
+    "derangement": _derangements,
+    "stirling": _stirling_words,
+    "dual_stirling": lambda n: _stirling_words(n, double=True),
+}
 
 
 def generate(kind: str, n: int) -> Iterator[Word]:
     """Stream every object of the class exactly once, lexicographically."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    _check_budget(kind, n)
+    _check_budget(kind, n)  # also rejects an unknown class
     if kind == "perm":
-        return _Stream(permutations(range(1, n + 1)), cycles=(n, 1))
-    if kind == "signed":
-        return _signed_words(n, first_positive=False)
-    if kind == "signed_hat":
-        return _signed_words(n, first_positive=True)
-    if kind == "derangement":
-        return _derangements(n)
-    if kind == "stirling":
-        return _stirling_words(n)
-    if kind == "dual_stirling":
-        return _stirling_words(n, double=True)
-    raise ValueError(f"unknown class {kind!r}")
+        return permutations(range(1, n + 1))
+    return _joined(_blocks(*_WALKS[kind](n)))
 
 
 # ---------------------------------------------------------------------------
@@ -626,33 +582,31 @@ def _cycle_steps(
         yield (v,), rise != up, 0, (left[:i] + left[i + 1:], v, rise, True)
 
 
-def _cycle_tails(state: CycleState | None, shortest: int) -> Iterator[tuple[Word, int, int]]:
-    """(letters, added crun, added cyc) for each completion of `state`."""
-    if state is None:
-        yield (), 0, 0
+def _cycle_walk(
+    state: CycleState | None, shortest: int, prefix: Word, runs: int, cycles: int, deep: int
+) -> Iterator[CycleBlock]:
+    """(prefix, crun, cyc, state) for each state below `state` that is the
+    end or has fewer than `deep` values left, with `prefix`, `runs` and
+    `cycles` extended by the letters, cycle runs and cycles of the steps
+    there.  At `deep` 0 every state yielded is None: one per completion."""
+    if state is None or len(state[0]) < deep:
+        yield prefix, runs, cycles, state
         return
-    for letters, runs, cycles, child in _cycle_steps(state, shortest):
-        for tail, more_runs, more_cycles in _cycle_tails(child, shortest):
-            yield letters + tail, runs + more_runs, cycles + more_cycles
+    for letters, more_runs, more_cycles, child in _cycle_steps(state, shortest):
+        yield from _cycle_walk(child, shortest, prefix + letters, runs + more_runs,
+                               cycles + more_cycles, deep)
 
 
 def _cycle_blocks(n: int, shortest: int) -> Iterator[CycleBlock]:
     """(prefix, crun, cyc, state) for each state the walk reaches with fewer
     than four values left: the cycle form written so far, its cycle runs and
-    cycles so far, and the state whose completions (`_cycle_tails`) end it.
-    Each permutation of [n] whose cycles have at least `shortest` letters is
-    one prefix joined with one completion."""
-
-    def walk(state, prefix: Word, runs: int, cycles: int) -> Iterator[CycleBlock]:
-        if state is None or len(state[0]) < 4:
-            yield prefix, runs, cycles, state
-            return
-        for letters, more_runs, more_cycles, child in _cycle_steps(state, shortest):
-            yield from walk(child, prefix + letters, runs + more_runs, cycles + more_cycles)
-
+    cycles so far, and the state whose completions end it.  Each
+    permutation of [n] whose cycles have at least `shortest` letters is one
+    prefix joined with one completion."""
     if n == 0:
         return iter([((), 0, 0, None)])
-    return walk((tuple(range(2, n + 1)), 1, True, shortest == 1), (1,), 1, 1)  # 1 opens
+    root = (tuple(range(2, n + 1)), 1, True, shortest == 1)  # 1 opens
+    return _cycle_walk(root, shortest, (1,), 1, 1, 4)
 
 
 def _cycle_key(state: CycleState | None) -> tuple | None:
@@ -679,7 +633,8 @@ def _cycle_fold(blocks: Iterator[CycleBlock], shortest: int) -> Counter:
         firsts.setdefault(key, state)
         heads[runs, cycles, key] += 1
     tables = {
-        key: Counter((runs, cycles) for _, runs, cycles in _cycle_tails(state, shortest))
+        key: Counter((runs, cycles)
+                     for _, runs, cycles, _ in _cycle_walk(state, shortest, (), 0, 0, 0))
         for key, state in firsts.items()
     }
     values: Counter = Counter()
@@ -737,8 +692,10 @@ _LOCAL_STATS = frozenset({
 })
 
 # The statistics `distribution` folds through the canonical-cycle-form walk,
-# each with its index in the walk's (crun, cyc).
+# each with its index in the walk's (crun, cyc), and the classes it walks,
+# each with the fewest letters a cycle of theirs may have.
 _CYCLE_STATS = {crun: 0, cycle_count: 1}
+_SHORTEST = {"perm": 1, "derangement": 2}
 
 STAT_NAMES = tuple(
     sorted(set(_PERM_STATS) | set(_SIGNED_STATS) | set(_STIRLING_STATS))
@@ -756,8 +713,22 @@ def _statistic(kind: str, name: str) -> Callable[[tuple], int]:
 
 
 def stat(word: Sequence[int], name: str, kind: str = "perm") -> int:
-    """Evaluate a named statistic on an object of the given class."""
-    return _statistic(kind, name)(tuple(word))
+    """Evaluate a named statistic on an object of the given class.
+
+    The word comes from outside, so on the classes of permutations its
+    letters must be exactly 1..len(word): the cycle statistics follow
+    word[v - 1] round each cycle, and on any other word they never stop.
+
+    >>> stat((1, 1), "crun")
+    Traceback (most recent call last):
+    ...
+    ValueError: (1, 1) is not a permutation of 1..2
+    """
+    fn = _statistic(kind, name)
+    word = tuple(word)
+    if _STATS_BY_CLASS[kind] is _PERM_STATS and sorted(word) != list(range(1, len(word) + 1)):
+        raise ValueError(f"{word} is not a permutation of 1..{len(word)}")
+    return fn(word)
 
 
 def distribution(
@@ -769,17 +740,17 @@ def distribution(
 
     `stats` is a nonempty sequence of (statistic name, variable name) pairs
     with distinct variable names; repeated names fail before any object is
-    generated.  A single local statistic (see `_LOCAL_STATS`) on a
-    tail-stream class is folded block by block: f(prefix + tail) = f(prefix)
-    + f(key + tail) - f(key), with key the last two letters of the prefix, so
-    f(key + tail) - f(key) is counted once per (state, key) over the state's
-    table of tails and f(prefix) once per prefix.  On `perm` and
-    `derangement`, statistics that are all `crun` or `cyc` (see
+    generated.  The fold is chosen by class.  On the classes of `_SHORTEST`
+    (`perm` and `derangement`), statistics that are all `crun` or `cyc` (see
     `_CYCLE_STATS`) are folded through the canonical-cycle-form walk
-    (`_cycle_fold`) and the joint (crun, cyc) counts projected onto them.
-    Every other statistic, joint distribution and `perm` distribution is
-    folded word by word.  The stream always comes from `generate`, which
-    enforces the enumeration budget.
+    (`_cycle_fold`) and the joint (crun, cyc) counts projected onto them.  A
+    single local statistic (see `_LOCAL_STATS`) on a class of `_WALKS` is
+    folded block by block: f(prefix + tail) = f(prefix) + f(key + tail) -
+    f(key), with key the last two letters of the prefix, so f(key + tail) -
+    f(key) is counted once per (state, key) over the state's table of tails
+    and f(prefix) once per prefix.  Every other statistic, joint
+    distribution and `perm` distribution is folded word by word.  Every
+    fold first calls `generate`, which enforces the enumeration budget.
 
     >>> str(distribution("perm", 3, [("altrun", "x")]))
     '2*x + 4*x^2'
@@ -795,10 +766,11 @@ def distribution(
     if len(set(variables)) != len(variables):
         raise ValueError(f"variable names must be distinct, got {', '.join(variables)}")
     words = generate(kind, n)
-    if isinstance(words, _Stream) and words.cycles and all(fn in _CYCLE_STATS for fn in fns):
+    if kind in _SHORTEST and all(fn in _CYCLE_STATS for fn in fns):
+        shortest = _SHORTEST[kind]
         at = [_CYCLE_STATS[fn] for fn in fns]
         counts = Counter()
-        for pair, count in _cycle_fold(words.cycle_blocks(), words.cycles[1]).items():
+        for pair, count in _cycle_fold(_cycle_blocks(n, shortest), shortest).items():
             counts[tuple(pair[i] for i in at)] += count
         return MultiPoly(variables, counts)
     if len(fns) > 1:
@@ -806,8 +778,8 @@ def distribution(
         counts = Counter(zip(*(map(fn, copy) for fn, copy in zip(fns, streams))))
         return MultiPoly(variables, counts)
     fn = fns[0]
-    if fn in _LOCAL_STATS and isinstance(words, _TailStream):
-        values = _local_fold(fn, words.blocks())
+    if fn in _LOCAL_STATS and kind in _WALKS:
+        values = _local_fold(fn, _blocks(*_WALKS[kind](n)))
     else:
         values = Counter(map(fn, words))
     return MultiPoly(variables, {(v,): c for v, c in values.items()})

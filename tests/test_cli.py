@@ -98,6 +98,14 @@ def test_usage_error_exit_2(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("family, n, start", [("cpoly", "0", 1), ("dpoly", "-2", 0)])
+def test_poly_below_the_first_index_exit_2(capsys, family, n, start):
+    with pytest.raises(SystemExit) as err:
+        main(["poly", "--family", family, "--n", n])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == f"error: family {family!r} starts at index {start}\n"
+
+
 def test_budget_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("ALTRUN_BUDGET", "5")
     code, out, err = run_cli(capsys, "dist", "--class", "perm", "--stat", "altrun", "--n", "8")

@@ -2,9 +2,13 @@
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -249,14 +253,14 @@ def _fold_mismatches(kind, name):
 def test_blocks_join_into_the_stream():
     for kind in TAIL_CLASSES:
         for n in _sizes(kind):
-            joined = [p + t for p, _, tails in en.generate(kind, n).blocks() for t in tails]
+            joined = [p + t for p, _, tails in en._blocks(*en._WALKS[kind](n)) for t in tails]
             assert joined == list(en.generate(kind, n)), (kind, n)
 
 
 def test_local_fold_equals_the_word_fold():
     folded = 0
     for kind in TAIL_CLASSES:
-        assert isinstance(en.generate(kind, 1), en._TailStream)
+        assert kind in en._WALKS
         for name, fn in en._STATS_BY_CLASS[kind].items():
             if fn in en._LOCAL_STATS:
                 folded += 1
@@ -296,6 +300,45 @@ def test_stat_dispatch():
         en.stat((1, 2), "fap", "perm")
     with pytest.raises(StatClassMismatch):
         en.stat((1, 2), "altrun", "signed")
+
+
+NOT_PERMUTATIONS = ((1, 1), (0, 1), (3, 1, 1), (2,))
+
+_STAT_ON_NON_PERMUTATIONS = f"""
+from altrun import enumeration as en
+for word in {NOT_PERMUTATIONS!r}:
+    for name in ("crun", "cyc", "cpk"):
+        for kind in ("perm", "derangement", "dual_stirling"):
+            try:
+                en.stat(word, name, kind)
+            except ValueError as exc:
+                assert str(exc) == f"{{word}} is not a permutation of 1..{{len(word)}}", exc
+            else:
+                raise AssertionError(f"stat({{word}}, {{name!r}}, {{kind!r}}) returned")
+"""
+
+
+def test_stat_rejects_a_word_that_is_not_a_permutation():
+    # An unchecked cycle statistic on (1, 1) follows word[v - 1] forever, so
+    # the calls run in a subprocess with a timeout: a regression fails here
+    # instead of hanging the suite.
+    env = {**os.environ, "PYTHONPATH": str(Path(en.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _STAT_ON_NON_PERMUTATIONS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_every_class_but_perm_is_a_walk():
+    assert set(en._WALKS) | {"perm"} == set(en.CLASSES)
+    assert "perm" not in en._WALKS
+    assert set(en._SHORTEST) <= set(en.CLASSES)
+
+
+def test_an_unknown_class_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown class 'bogus'"):
+        en.generate("bogus", 3)
+    with pytest.raises(ValueError, match="unknown class 'bogus'"):
+        en.distribution("bogus", 3, [("altrun", "x")])
 
 
 def test_budget(monkeypatch):
@@ -348,11 +391,10 @@ def _cycles_of(form):
 def test_cycle_walk_visits_each_object_once_with_its_statistics():
     for kind, sizes in CYCLE_SIZES.items():
         for n in sizes:
-            stream = en.generate(kind, n)
-            shortest = stream.cycles[1]
+            shortest = en._SHORTEST[kind]
             seen = Counter()
-            for prefix, runs, cycles, state in stream.cycle_blocks():
-                for tail, more_runs, more_cycles in en._cycle_tails(state, shortest):
+            for prefix, runs, cycles, state in en._cycle_blocks(n, shortest):
+                for tail, more_runs, more_cycles, _ in en._cycle_walk(state, shortest, (), 0, 0, 0):
                     word = en.cycles_to_word(_cycles_of(prefix + tail), n)
                     assert runs + more_runs == en.crun(word), (kind, word)
                     assert cycles + more_cycles == en.cycle_count(word), (kind, word)
