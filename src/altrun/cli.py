@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from . import enumeration, families, verify
-from .errors import SizeLimit, UnknownFamily
+from .errors import SizeLimit, StatClassMismatch, UnknownFamily
 
 _DEFAULT_VARS = ("x", "q", "y", "t")
 
@@ -118,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     except SizeLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UnknownFamily, ValueError) as exc:
+    except (UnknownFamily, StatClassMismatch, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")
         return 2
 

@@ -10,22 +10,22 @@ Classes of objects (all streamed in lexicographic order of the printed word):
     dual_stirling  images of Stirling words under the doubling map
 
 Streams are plain iterators.  `perm` is `itertools.permutations`; every
-other class is a walk, built by its entry in `_WALKS`: Python writes the
-letters of a prefix in increasing order until only a few letters are left
-to choose, and then appends to the prefix each entry of a table that lists
-every completion of that state in lexicographic order.  The table is built
-once per distinct state, so most words cost one tuple concatenation, and it
-is dropped when the stream ends or is closed.  The tail starts with at most
-two Stirling values left to open, four derangement positions or three
-signed absolute values left to place; derangement tails are
-`itertools.permutations` filtered against their positions.
+other class is a walk, built by its entry in `_WALKS` as (root, children,
+cut, done): Python writes the letters of a prefix in increasing order until
+only a few letters are left to choose, and then appends to the prefix each
+entry of a table that lists every completion of that state in
+lexicographic order.  The tables come from the same `children` rule, down
+to a state that is `done`, and each is built once per distinct state, so
+most words cost one tuple concatenation; they are dropped when the stream
+ends or is closed.  The tail starts with at most two Stirling values left
+to open, four derangement positions or three signed absolute values left
+to place.
 
 Every stream is valid by construction: the Stirling walk only ever closes
-the innermost open pair or opens a value above it, and the completions of a
-state with one value left to open have a closed form.  The dual Stirling
-stream is the same walk writing 2j when it opens j and 2j-1 when it closes
-j, so no word is checked again; `dual_map` validates its argument because it
-takes outside input.
+the innermost open pair or opens a value above it, and the derangement
+walk never writes a fixed point.  The dual Stirling stream is the same walk
+writing 2j when it opens j and 2j-1 when it closes j, so no word is checked
+again; `dual_map` validates its argument because it takes outside input.
 
 Statistics are plain functions on tuples; `stat` dispatches by class name and
 `distribution` folds a statistic tuple into an exact polynomial.  These
@@ -45,9 +45,9 @@ bijection, Stanley, EC1 1.3).  In that form both statistics add up along
 the walk (`_cycle_walk`), and below four values left the completions are
 counted once per pattern of the state (`_cycle_fold`).  Every other joint
 distribution, every other statistic on `perm` and every mix is folded word
-by word.  The word-level `crun` and `cycle_count` stay the definition: they
-walk each cycle once instead of building the standard decomposition, which
-`cycle_canonical`, `crun_of_cycles` and `cycle_runs` still define.
+by word.  The word-level `crun` and `cycle_count` are read from their
+definitions, the standard decomposition `cycle_canonical` and, for `crun`,
+`crun_of_cycles` and `cycle_runs`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import os
 from bisect import bisect_left
 from collections import Counter
 from itertools import permutations, tee
-from operator import eq, gt, lt
+from operator import gt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvalidStirlingWord, SizeLimit, StatClassMismatch
@@ -65,7 +65,7 @@ from .multipoly import MultiPoly
 
 Word = tuple[int, ...]
 Block = tuple[Word, object, list[Word]]  # (prefix, walk state, completions)
-Walk = tuple[object, Callable, Callable, Callable]  # (root, children, cut, complete)
+Walk = tuple[object, Callable, Callable, Callable]  # (root, children, cut, done)
 CycleState = tuple[Word, int, bool, bool]  # (values left, last letter, up, may close)
 CycleBlock = tuple[Word, int, int, CycleState | None]  # (prefix, crun, cyc, state)
 
@@ -128,28 +128,36 @@ def _check_budget(kind: str, n: int) -> None:
         raise SizeLimit(f"{kind} n={n} has {count} objects, budget is {budget}")
 
 
-def _blocks(root, children: Callable, cut: Callable, complete: Callable) -> Iterator[Block]:
+def _blocks(root, children: Callable, cut: Callable, done: Callable) -> Iterator[Block]:
     """(prefix, state, completions) for every word below `root`, in word order.
 
-    `children(state)` yields (letter, child state) by increasing letter.  The
-    walk writes letters until `cut(state)` holds; then `complete(state)`
-    lists every completion of that state in lexicographic order, once per
-    distinct state.  The table of completions lives only as long as the walk.
+    `children(state)` yields (letter, child state) by increasing letter, and
+    `done(state)` holds when the word is complete.  The walk writes letters
+    until `cut(state)` holds; then the completions of that state are listed
+    in lexicographic order by the same `children`, down to `done`.  Every
+    state's completions, cut or below a cut, are listed once and kept in one
+    memo, which lives only as long as the walk.  A state with no child that
+    is not done has no completion.
     """
-    def walk(state, prefix: Word) -> Iterator[tuple[Word, object]]:
+    memo: dict = {}
+
+    def complete(state) -> list[Word]:
+        tails = memo.get(state)
+        if tails is None:
+            tails = memo[state] = [()] if done(state) else [
+                (letter, *tail) for letter, child in children(state) for tail in complete(child)
+            ]
+        return tails
+
+    def walk(state, prefix: Word) -> Iterator[Block]:
         if cut(state):
-            yield prefix, state
+            yield prefix, state, complete(state)
             return
         for letter, child in children(state):
             yield from walk(child, (*prefix, letter))
 
-    memo: dict = {}
     try:
-        for prefix, state in walk(root, ()):
-            tails = memo.get(state)
-            if tails is None:
-                tails = memo[state] = complete(state)
-            yield prefix, state, tails
+        yield from walk(root, ())
     finally:
         memo.clear()
 
@@ -167,30 +175,21 @@ def _signed_words(n: int, first_positive: bool) -> Walk:
         for v in (*negatives, *left):
             yield v, tuple(a for a in left if a != abs(v))
 
-    def complete(left: Word) -> list[Word]:
-        if not left:
-            return [()]
-        return [(v, *tail) for v, child in children(left) for tail in complete(child)]
-
-    return tuple(range(1, n + 1)), children, lambda left: len(left) <= 3, complete
+    return (tuple(range(1, n + 1)), children, lambda left: len(left) <= 3,
+            lambda left: not left)
 
 
 def _derangements(n: int) -> Walk:
-    # A state is (next position, values left).  The walk skips fixed points;
-    # with four values left, their permutations are filtered against the
-    # four positions left.
+    # A state is (next position, values left).  The walk skips fixed points,
+    # so a state whose only value left is its own position is a dead end.
     def children(state: tuple[int, Word]) -> Iterator[tuple[int, tuple[int, Word]]]:
         i, left = state
         for j, v in enumerate(left):
             if v != i:
                 yield v, (i + 1, left[:j] + left[j + 1:])
 
-    def complete(state: tuple[int, Word]) -> list[Word]:
-        i, left = state
-        places = range(i, n + 1)
-        return [p for p in permutations(left) if not any(map(eq, p, places))]
-
-    return (1, tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 4, complete
+    return ((1, tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 4,
+            lambda s: not s[1])
 
 
 def _stirling_words(n: int, double: bool = False) -> Walk:
@@ -200,10 +199,9 @@ def _stirling_words(n: int, double: bool = False) -> Walk:
     # values above the top in increasing order.  With `double` the walk
     # writes the dual Stirling word: 2j opens j and 2j-1 closes it, which
     # keeps the order, since both letters of a smaller value are smaller
-    # than both letters of a larger one.  The walk stops once at most two
-    # values are left to open, and the completions of that state are built
-    # once: one step at a time down to one value left, where they have a
-    # closed form.
+    # than both letters of a larger one.  The walk is cut once at most two
+    # values are left to open; the word is done once every value is opened
+    # and closed.
     opens = [2 * v if double else v for v in range(n + 1)]
     closes = [2 * v - 1 if double else v for v in range(n + 1)]
 
@@ -216,23 +214,8 @@ def _stirling_words(n: int, double: bool = False) -> Walk:
             if v > top:
                 yield opens[v], ((*stack, v), left[:i] + left[i + 1:])
 
-    def complete(state: tuple[Word, Word]) -> list[Word]:
-        stack, left = state
-        if len(left) > 1:
-            return [(letter, *tail) for letter, child in children(state)
-                    for tail in complete(child)]
-        # The rest is forced but for where the last value u opens: after
-        # closing k stack entries, with every entry above u closed.  More
-        # closes first is the smaller letter, so k runs downwards.
-        rest = [closes[v] for v in reversed(stack)]
-        if not left:
-            return [tuple(rest)]
-        u = left[0]
-        pair = (opens[u], closes[u])
-        above = len(stack) - bisect_left(stack, u)
-        return [(*rest[:k], *pair, *rest[k:]) for k in range(len(stack), above - 1, -1)]
-
-    return ((), tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 2, complete
+    return (((), tuple(range(1, n + 1))), children, lambda s: len(s[1]) <= 2,
+            lambda s: s == ((), ()))
 
 
 # The walk of every class but `perm`, by class name.
@@ -410,46 +393,15 @@ def crun_of_cycles(cycles: Iterable[Sequence[int]]) -> int:
 def crun(word: Sequence[int]) -> int:
     """Cycle-run statistic: total cycle runs over the standard decomposition.
 
-    Equal to `crun_of_cycles(cycle_canonical(word))`, in one walk along each
-    cycle from its minimum: a cycle opens one run, each change of direction
-    opens another, and so does the appended infinity after a descent.
-
     >>> crun((3, 1, 2))
     3
     """
-    seen = [False] * (len(word) + 1)
-    total = 0
-    for start in range(1, len(word) + 1):
-        if seen[start]:
-            continue
-        total += 1
-        up = True  # the first step leaves the minimum upwards
-        prev = start
-        v = word[start - 1]
-        while v != start:
-            seen[v] = True
-            if (v > prev) != up:
-                total += 1
-                up = not up
-            prev = v
-            v = word[v - 1]
-        if not up:
-            total += 1
-    return total
+    return crun_of_cycles(cycle_canonical(word))
 
 
 def cycle_count(word: Sequence[int]) -> int:
-    """Number of cycles, `len(cycle_canonical(word))`."""
-    seen = [False] * (len(word) + 1)
-    count = 0
-    for start in range(1, len(word) + 1):
-        if not seen[start]:
-            count += 1
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                v = word[v - 1]
-    return count
+    """Number of cycles."""
+    return len(cycle_canonical(word))
 
 
 def cycle_peaks(word: Sequence[int]) -> int:
@@ -501,12 +453,7 @@ def ascent_plateaus(word: Sequence[int]) -> int:
 
 def left_ascent_plateaus(word: Sequence[int]) -> int:
     """Ascent plateaus with a 0 boundary prepended."""
-    padded = (0, *word)
-    return sum(
-        1
-        for i in range(1, len(padded) - 1)
-        if padded[i - 1] < padded[i] == padded[i + 1]
-    )
+    return ascent_plateaus((0, *word))
 
 
 def flag_ascent_plateaus(word: Sequence[int]) -> int:
@@ -563,11 +510,11 @@ def _cycle_steps(
 ) -> Iterator[tuple[Word, int, int, CycleState | None]]:
     """(letters, added crun, added cyc, child state) for each step from `state`.
 
-    The rules are those of `crun`'s own loop: opening a cycle adds one run
-    and one cycle; the first step from the minimum goes up; each change of
-    direction adds a run; closing a cycle after a descent adds the run of
-    the appended infinity.  A new cycle may close once it has `shortest`
-    letters, which is 1 or 2.
+    The rules are those of `cycle_runs` on each cycle written from its
+    minimum: opening a cycle adds one run and one cycle; the first step from
+    the minimum goes up; each change of direction adds a run; closing a
+    cycle after a descent adds the run of the appended infinity.  A new
+    cycle may close once it has `shortest` letters, which is 1 or 2.
     """
     left, last, up, may_close = state
     if may_close:

@@ -124,7 +124,8 @@ class Grammar:
     def parse(cls, text: str) -> Grammar:
         """Build from a one-line rule list "a->q*a*b; b->b*c; c->b^2".
 
-        Letters appearing only on right-hand sides get the zero image.
+        Letters appearing only on right-hand sides get the zero image; a
+        letter with two rules is an error.
         """
         rule_texts: list[tuple[str, str]] = []
         for chunk in text.split(";"):
@@ -136,6 +137,8 @@ class Grammar:
             lhs, rhs = (side.strip() for side in chunk.split("->", 1))
             if not lhs.isidentifier() or keyword.iskeyword(lhs):
                 raise ValueError(f"bad letter {lhs!r}")
+            if any(lhs == seen for seen, _ in rule_texts):
+                raise ValueError(f"letter {lhs!r} has more than one rule")
             rule_texts.append((lhs, rhs))
         # letters in order of first appearance, left-hand sides included
         alphabet = tuple(dict.fromkeys(

@@ -12,11 +12,10 @@ runs it, so `Fraction(4, 2)` is stored as `4` and mixed results such as
 on `==`, `hash` and `str` for integral values, equality, hashing and printed
 forms do not depend on which of the two a coefficient happens to be.  True
 division (`Poly / scalar`, the `divmod` quotient) lifts to `Fraction` first,
-so no path yields a float.  The two hot kernels run in `int`: `poly_gcd`
+so no path yields a float.  The hot kernel runs in `int`: `poly_gcd`
 clears denominators and runs a primitive remainder sequence over Z[x],
-dividing by a leading coefficient only once, to make the result monic, and
-`evaluate` clears denominators and runs Horner's rule on the point's
-numerator.  `evaluate` always returns a `Fraction`.
+dividing by a leading coefficient only once, to make the result monic.
+`evaluate` runs Horner's rule and always returns a `Fraction`.
 
 The indeterminate is anonymous; `to_str` takes the display name (``x`` by
 default, ``q`` for q-triangles).
@@ -265,24 +264,14 @@ class Poly(ExactRing):
     def evaluate(self, point: Scalar) -> Fraction:
         """Evaluate at a rational point (Horner); the value is a Fraction.
 
-        The coefficients are scaled to integers c_k by the lcm L of their
-        denominators.  With point p/q, Horner's rule then runs on p alone and
-        scales c_k by q^(d-k), so only the final value
-        sum_k c_k p^k q^(d-k) / (L q^d) is a `Fraction`.
-
         >>> Poly([1, 2, 3]).evaluate(Fraction(-1, 2)), Poly().evaluate(7)
         (Fraction(3, 4), Fraction(0, 1))
         """
         point = exact(point)
-        if not self.coeffs:
-            return Fraction(0)
-        ints, scale = _integral(self.coeffs)
-        p, q = point.numerator, point.denominator
-        acc, qpow = 0, 1
-        for c in reversed(ints):
-            acc = acc * p + c * qpow
-            qpow *= q
-        return Fraction(acc, scale * qpow // q)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * point + c
+        return acc
 
     def compose(self, inner: Poly) -> Poly:
         """Substitute another polynomial for the indeterminate."""

@@ -495,8 +495,8 @@ def pde_check(order: int, mutate: tuple[int, int] | None = None) -> int | None:
     R_(n+1) - n x^2 R_n = x(1-x^2) R_n' + q x R_n.  Returns the first n
     where the two sides part, or None when they agree for every n < order.
     """
-    if order < 2:
-        raise ValueError("order must be at least 2")
+    if order < 1:
+        raise ValueError("order must be at least 1")
     r = _rq_rows(order, mutate)
     x = MultiPoly.variable(_XQ, "x")
     q = MultiPoly.variable(_XQ, "q")

@@ -106,6 +106,18 @@ def test_poly_below_the_first_index_exit_2(capsys, family, n, start):
     assert capsys.readouterr().err == f"error: family {family!r} starts at index {start}\n"
 
 
+@pytest.mark.parametrize("klass, stat", [
+    ("stirling", "altrun"), ("signed", "crun"), ("perm", "bogus"),
+])
+def test_stat_the_class_lacks_exit_2(capsys, klass, stat):
+    with pytest.raises(SystemExit) as err:
+        main(["dist", "--class", klass, "--stat", stat, "--n", "2"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: statistic {stat!r} undefined for class {klass!r}\n"
+    )
+
+
 def test_budget_exit_3(capsys, monkeypatch):
     monkeypatch.setenv("ALTRUN_BUDGET", "5")
     code, out, err = run_cli(capsys, "dist", "--class", "perm", "--stat", "altrun", "--n", "8")
@@ -167,12 +179,15 @@ def test_verify_bad_parameter_fails_its_checks_only(capsys):
         d.startswith(("empty range n=1..0", "empty range n=2..0")) for d in failed.values()
     )
 
-    code, out, _ = run_cli(capsys, "verify", "--order", "1")
+    code, out, _ = run_cli(capsys, "verify", "--order", "0")
     report = json.loads(out)
     assert code == 1
     assert len(report["checks"]) == 49
     failed = {c["check_id"]: c["detail"] for c in report["checks"] if not c["pass"]}
-    assert failed == {"series/pde": "ValueError: order must be at least 2"}
+    assert failed == {"series/pde": (
+        "empty range n=0..-1, nothing checked: "
+        "(1 - x^2 z) R_z = x(1-x^2) R_x + q x R on the Rq rows"
+    )}
 
 
 def test_verify_negative_max_n_fails_every_gamma_check(capsys):

@@ -72,9 +72,8 @@ def test_derangements_are_the_fixed_point_free_permutations():
 def test_tail_table_does_not_outlive_its_stream():
     # With the cyclic collector off, memory must return to its level before
     # the stream once the stream is drained, or half read and closed.  The
-    # completion table holds over 100 kB while the stream is read and about
-    # 800 kB once full; the stream's recursive closures, left to the
-    # collector, are a few kB.
+    # completion memo holds over 200 kB while the stream is read; the
+    # stream's recursive closures, left to the collector, are a few kB.
     def allocated():
         return tracemalloc.get_traced_memory()[0]
 

@@ -75,6 +75,11 @@ def test_parse_errors():
             gr.Grammar.parse(text)
 
 
+def test_parse_rejects_a_repeated_rule():
+    with pytest.raises(ValueError, match="letter 'a' has more than one rule"):
+        gr.Grammar.parse("a->a*b; a->b")
+
+
 def test_parse_long_flat_sum_and_signs():
     a = MultiPoly.variable(("a",), "a")
     assert gr.parse_polynomial("+".join(["a"] * 2000), ("a",)) == 2000 * a

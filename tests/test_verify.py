@@ -45,6 +45,19 @@ def test_negative_order_is_an_empty_series_range():
             assert c.detail.startswith("empty range n=0..-1"), c
 
 
+def test_series_pde_at_small_orders():
+    # The PDE compares n < order; from order 1 on, the bumped row min(order, 3)
+    # is one it reads.
+    for order in (-1, 0):
+        ok, detail = verify.check_series_pde(order)
+        assert not ok
+        assert detail.startswith(f"empty range n=0..{order - 1}, nothing checked: ")
+    for order in (1, 2):
+        assert verify.check_series_pde(order) == (
+            True, f"PDE holds through order {order} and rejects a mutated entry"
+        )
+
+
 def test_qrun_recurrence_fails_an_empty_range():
     # Its rows start at n=1, so at max_n=0 it compared nothing.
     report = verify.run_suite("grammar", max_n=0)
