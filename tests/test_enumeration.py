@@ -134,12 +134,16 @@ def test_crun_examples():
             assert en.cycle_runs(cyc) == 2 * peaks + 1
 
 
-def test_crun_and_cyc_agree_with_the_cycle_decomposition():
+def test_canonical_cycles_start_at_their_minima_in_increasing_order():
+    # The premise of the canonical-cycle-form walk, which opens each cycle
+    # at the least value left; the round trip through cycles_to_word does
+    # not check it.
     for n in range(8):
         for word in permutations(range(1, n + 1)):
             cycles = en.cycle_canonical(word)
-            assert en.crun(word) == en.crun_of_cycles(cycles)
-            assert en.cycle_count(word) == len(cycles)
+            minima = [c[0] for c in cycles]
+            assert all(c[0] == min(c) for c in cycles), word
+            assert minima == sorted(set(minima)), word
 
 
 def test_fap_is_ap_plus_la_off_stirling_words():
@@ -229,7 +233,7 @@ def test_distribution_examples():
     assert rq3 == triangle("Rq", 3).row_multipoly(3)
 
 
-TAIL_CLASSES = ("signed", "signed_hat", "derangement", "stirling", "dual_stirling")
+TAIL_CLASSES = ("perm", "signed", "signed_hat", "derangement", "stirling", "dual_stirling")
 
 
 def _sizes(kind):
@@ -264,8 +268,62 @@ def test_local_fold_equals_the_word_fold():
             if fn in en._LOCAL_STATS:
                 folded += 1
                 assert _fold_mismatches(kind, name) == [], (kind, name)
-    # altrun, udrun, des on two classes; des_B, altrun_B on two; ap, la, fap
-    assert folded == 3 * 2 + 2 * 2 + 3
+    # altrun, udrun, des on three classes; des_B, altrun_B on two; ap, la, fap
+    assert folded == 3 * 3 + 2 * 2 + 3
+
+
+def test_fold_memo_does_not_outlive_its_call():
+    # With the cyclic collector off, memory must return to its level before
+    # the call: the fold refers to itself, and unless that cycle is broken
+    # when it returns, its memo (over 1 MB here) waits for the collector.
+    # What is left is the tuple free lists' churn, a few kB.
+    def allocated():
+        return tracemalloc.get_traced_memory()[0]
+
+    gc.disable()
+    tracemalloc.start()
+    try:
+        en.distribution("stirling", 7, [("fap", "x")])  # warm the free lists
+        start = allocated()
+        dist = en.distribution("stirling", 7, [("fap", "x")])
+        peak = tracemalloc.get_traced_memory()[1] - start
+        del dist
+        left = allocated() - start
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak > 1024 * 1024
+    assert left < 64 * 1024
+
+
+def test_a_memo_keyed_by_the_last_letter_alone_breaks_the_fold(monkeypatch):
+    # Whether the next letter turns a run or makes a plateau depends on the
+    # last two letters, so completions shared by (state, last letter) are
+    # miscounted.
+    real = en._fold
+
+    def last_letter_keys(root, steps, done, bound):
+        def coarse(node):
+            for shift, (state, key), child in steps(node):
+                yield shift, (state, key[-1:]), child
+
+        return real(root, coarse, done, bound)
+
+    monkeypatch.setattr(en, "_fold", last_letter_keys)
+    for kind, name in (("perm", "altrun"), ("dual_stirling", "altrun"), ("stirling", "fap")):
+        assert _fold_mismatches(kind, name), (kind, name)
+
+
+def test_a_decreasing_local_statistic_raises(monkeypatch):
+    # A step that lowers the statistic would need a negative shift of the
+    # packed counts, which Python refuses.
+    def negated(word):
+        return -en.altrun(word)
+
+    monkeypatch.setitem(en._PERM_STATS, "negated", negated)
+    monkeypatch.setattr(en, "_LOCAL_STATS", en._LOCAL_STATS | {negated})
+    with pytest.raises(ValueError, match="negative shift count"):
+        en.distribution("perm", 4, [("negated", "x")])
 
 
 def inversions(word):
@@ -327,9 +385,8 @@ def test_stat_rejects_a_word_that_is_not_a_permutation():
     assert done.returncode == 0, done.stderr
 
 
-def test_every_class_but_perm_is_a_walk():
-    assert set(en._WALKS) | {"perm"} == set(en.CLASSES)
-    assert "perm" not in en._WALKS
+def test_every_class_is_a_walk():
+    assert set(en._WALKS) == set(en.CLASSES)
     assert set(en._SHORTEST) <= set(en.CLASSES)
 
 
@@ -387,17 +444,27 @@ def _cycles_of(form):
     return cycles
 
 
+def _cycle_forms(state, form, runs, cycles, shortest):
+    """(cycle form, crun, cyc) for every completion of `state`, step by step."""
+    if state is None:
+        yield form, runs, cycles
+        return
+    for letters, more_runs, more_cycles, child in en._cycle_steps(state, shortest):
+        yield from _cycle_forms(child, form + letters, runs + more_runs, cycles + more_cycles, shortest)
+
+
 def test_cycle_walk_visits_each_object_once_with_its_statistics():
     for kind, sizes in CYCLE_SIZES.items():
         for n in sizes:
             shortest = en._SHORTEST[kind]
+            # 1 opens the first cycle: one letter, one run, one cycle.
+            root = (tuple(range(2, n + 1)), 1, True, shortest == 1), (1,), 1, 1
             seen = Counter()
-            for prefix, runs, cycles, state in en._cycle_blocks(n, shortest):
-                for tail, more_runs, more_cycles, _ in en._cycle_walk(state, shortest, (), 0, 0, 0):
-                    word = en.cycles_to_word(_cycles_of(prefix + tail), n)
-                    assert runs + more_runs == en.crun(word), (kind, word)
-                    assert cycles + more_cycles == en.cycle_count(word), (kind, word)
-                    seen[word] += 1
+            for form, runs, cycles in _cycle_forms(*(root if n else (None, (), 0, 0)), shortest):
+                word = en.cycles_to_word(_cycles_of(form), n)
+                assert runs == en.crun(word), (kind, word)
+                assert cycles == en.cycle_count(word), (kind, word)
+                seen[word] += 1
             assert seen == Counter(en.generate(kind, n)), (kind, n)
 
 
