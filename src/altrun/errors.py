@@ -54,7 +54,8 @@ class BadConstantTerm(AltrunError):
 
 
 class ExtensionResidue(AltrunError):
-    """A series coefficient kept a radical part that should have cancelled."""
+    """A closed form left a series coefficient outside Q[x]: a radical part
+    that should have cancelled, or a quotient that did not divide exactly."""
 
 
 class UnknownFamily(AltrunError):

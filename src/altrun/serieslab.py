@@ -2,17 +2,21 @@
 
 A Series stores the EGF coefficients egf[n] = n! [z^n] for n = 0..order
 and computes with their own exact arithmetic.  The rings used are Q
-(`int`/`Fraction`), Q[x] (`Poly`), Q[x,y] (`MultiPoly`) and the quadratic
-extension Q(x)[rho]/(rho^2 - D) (`QuadExt`).  Products, quotients, `exp`,
-`log` and `sqrt` are binomial convolutions of the stored values, so a series
-with integer EGF coefficients (T, Carlitz, T^q for integer q, the derangement
-EGF) is computed in integers throughout, with no 1/n! anywhere.  All
-operations truncate consistently at the order.  Series division inverts the
-constant term as `1 / c`, so it is supported only over Q and Q(x)[rho].
+(`int`/`Fraction`), Q[x] (`Poly`), Q[x,y] (`MultiPoly`), Z[x][rho] with
+rho^2 = 1 - x^2 (`RhoPoly`) and the quadratic extension Q(x)[rho]/(rho^2 - D)
+(`QuadExt`).  Products, quotients, `exp`, `log` and `sqrt` are binomial
+convolutions of the stored values, so a series with integer EGF coefficients
+(T, Carlitz, T^q for integer q, the derangement EGF) is computed in integers
+throughout, with no 1/n! anywhere.  All operations truncate consistently at
+the order.  Series division inverts an `int` or `Fraction` constant term
+once; any other constant term divides each coefficient through the
+coefficient's own `/`, which over Z[x][rho] is exact division in Q[x].
 
-The closed-form generating functions of the run polynomials live here; the
-ones that need sqrt(1-x^2) are computed in the quadratic extension and the
-final rho-cancellation is asserted (ExtensionResidue), never assumed.
+The closed-form generating functions of the run polynomials live here.  The
+two that need sqrt(1-x^2), T and Carlitz's EGF, are each one quotient over
+Z[x][rho] whose denominator has a constant term with no rho part; that every
+quotient divides exactly and every rho part cancels is asserted
+(ExtensionResidue), never assumed.
 `egf_R` is R(x,z;q) = T(x,z)^q = exp(q log T) over Q[x,q] (rows in Z[x,q]),
 so the q-identities are checked symbolically in q rather than at sample
 values, and the F-dual identity is one exact polynomial identity per n.
@@ -32,8 +36,8 @@ from typing import Sequence
 
 from . import families
 from .families import _XQ, _XYQ
-from .errors import BadConstantTerm, ExtensionResidue, NonInvertibleConstantTerm
-from .fieldext import QuadExt, RatFunc
+from .errors import BadConstantTerm, ExtensionResidue, NonInvertibleConstantTerm, NotDivisible
+from .fieldext import QuadExt, RatFunc, RhoPoly
 from .gammalab import SemiGammaForm
 from .multipoly import MultiPoly
 from .polys import ExactRing, Poly, Scalar, as_fraction, exact
@@ -64,6 +68,10 @@ class Series(ExactRing):
     True
     >>> [str(c) for c in s.coeffs]
     ['1', '1', '1/2', '1/6']
+
+    Division needs a constant term its ring can divide by: an `int` or
+    `Fraction` is inverted once, and any other constant term divides each
+    coefficient exactly, through the coefficient's own `/`.
 
     Like every `ExactRing` type, a Series is immutable: `egf` and `order`
     live in `__slots__`, are set once in `__init__` through
@@ -139,23 +147,36 @@ class Series(ExactRing):
         return Series(tuple(out), self.order)
 
     def __truediv__(self, other) -> Series:
-        """c_n = (a_n - sum_(k<n) C(n, k) c_k b_(n-k)) / b_0."""
+        """c_n = (a_n - sum_(k<n) C(n, k) c_k b_(n-k)) / b_0.
+
+        An `int` or `Fraction` b_0 is inverted once.  Any other b_0 divides
+        each c_n through the coefficient's own `/`: over `RhoPoly` that is
+        exact division in Q[x], and a NotDivisible there names n.  A b_0
+        that its ring cannot divide by (zero, or a `RhoPoly` with a rho
+        part) raises NonInvertibleConstantTerm.
+        """
         other = self._coerce(other)
         b = other.egf
-        try:
-            inv0 = Fraction(1) / b[0]
-        except ZeroDivisionError as exc:
-            raise NonInvertibleConstantTerm(f"constant term {b[0]} is not invertible") from exc
-        unit = inv0 == 1
+        b0 = b[0]
         support = [j for j in other._support() if j]
         out = []
-        for n, row in enumerate(_pascal(self.order)):
-            acc = self.egf[n]
-            for j in support:
-                if j > n:
-                    break
-                acc = acc - out[n - j] * b[j] * row[j]
-            out.append(acc if unit else acc * inv0)
+        try:
+            if isinstance(b0, (int, Fraction)):
+                inv0 = Fraction(1) / b0
+                divide = (lambda c: c) if inv0 == 1 else (lambda c: c * inv0)
+            else:
+                divide = lambda c: c / b0  # noqa: E731
+            for n, row in enumerate(_pascal(self.order)):
+                acc = self.egf[n]
+                for j in support:
+                    if j > n:
+                        break
+                    acc = acc - out[n - j] * b[j] * row[j]
+                out.append(divide(acc))
+        except ZeroDivisionError as exc:
+            raise NonInvertibleConstantTerm(f"constant term {b0} is not invertible") from exc
+        except NotDivisible as exc:
+            raise NotDivisible(f"coefficient {len(out)}: {exc}") from exc
         return Series(tuple(out), self.order)
 
     # -- transcendental combinators -------------------------------------------
@@ -284,43 +305,44 @@ def _signed_terms(series: Series, parity: int) -> Series:
 # closed-form generating functions
 # ---------------------------------------------------------------------------
 
-_DISC_RHO = RatFunc(Poly([1, 0, -1]))  # rho^2 = 1 - x^2
+def _rho_free_quotient(name: str, num: Series, den: Series) -> Series:
+    """num / den over `RhoPoly`, whose coefficients must all lie in Q[x].
 
-
-def _reduce_to_polys(series: Series, context: str) -> Series:
-    """Collapse quadratic-extension coefficients to plain polynomials."""
-    polys = []
-    for n, c in enumerate(series.egf):
-        if not c.rad.is_zero():
-            raise ExtensionResidue(f"{context}: rho survives in coefficient {n}")
-        if not c.base.is_polynomial():
-            raise ExtensionResidue(
-                f"{context}: coefficient {n} is not a polynomial: {c.base}"
-            )
-        polys.append(c.base.num)
-    return Series(tuple(polys), series.order)
+    A quotient that does not divide exactly, or a coefficient that keeps a
+    rho part, raises ExtensionResidue naming `name` and the coefficient n.
+    """
+    try:
+        quot = num / den
+    except NotDivisible as exc:
+        raise ExtensionResidue(f"{name}: {exc}") from exc
+    for n, c in enumerate(quot.egf):
+        if c.rad:
+            raise ExtensionResidue(f"{name}: rho survives in coefficient {n}")
+    return Series(tuple(c.base for c in quot.egf), quot.order)
 
 
 @lru_cache(maxsize=None)
 def egf_T(order: int) -> Series:
-    """Up-down-run EGF, from its closed form over Q(x)[rho], rho^2 = 1 - x^2;
-    n! times coefficient n is the T-row polynomial."""
-    x = QuadExt(RatFunc.x(), 0, _DISC_RHO)
-    rho = QuadExt.radical(_DISC_RHO)
+    """Up-down-run EGF, from its closed form N/D over Z[x][rho], rho^2 = 1 - x^2;
+    n! times coefficient n is the T-row polynomial.  D at z = 0 is 2(1 - x^2)."""
+    x = RhoPoly(Poly.x())
+    rho = RhoPoly(0, 1)
     e1 = exp_cz(rho, order)
     e2 = exp_cz(rho * 2, order)
     num = (1 - x) * (1 + rho + (2 * x) * e1 + (1 - rho) * e2)
     den = (1 + rho - x * x) + (1 - rho - x * x) * e2
-    return _reduce_to_polys(num / den, "egf_T")
+    return _rho_free_quotient("egf_T", num, den)
 
 
 def egf_carlitz(order: int) -> Series:
-    """Carlitz EGF; n! times coefficient n is sum_k R(n+1,k) x^(n-k)."""
-    x = QuadExt(RatFunc.x(), 0, _DISC_RHO)
-    rho = QuadExt.radical(_DISC_RHO)
-    quot = (rho + sin_cz(rho, order)) / (x - cos_cz(rho, order))
-    ratio = (1 - x) / (1 + x)
-    return _reduce_to_polys(ratio * quot * quot, "egf_carlitz")
+    """Carlitz EGF (1-x)(rho + sin rho z)^2 / ((1+x)(x - cos rho z)^2), one
+    quotient over Z[x][rho] whose denominator at z = 0 is (1+x)(1-x)^2; n!
+    times coefficient n is sum_k R(n+1,k) x^(n-k)."""
+    x = RhoPoly(Poly.x())
+    rho = RhoPoly(0, 1)
+    top = rho + sin_cz(rho, order)
+    bottom = x - cos_cz(rho, order)
+    return _rho_free_quotient("egf_carlitz", (1 - x) * top * top, (1 + x) * bottom * bottom)
 
 
 @lru_cache(maxsize=None)

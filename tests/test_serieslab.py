@@ -1,17 +1,28 @@
 """Truncated series combinators and the closed-form generating functions."""
 
+import contextlib
+import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from altrun import families, serieslab as sl, verify
-from altrun.errors import BadConstantTerm, ExtensionResidue, NonInvertibleConstantTerm
+from altrun.cli import main
+from altrun.errors import (
+    BadConstantTerm,
+    ExtensionResidue,
+    NonInvertibleConstantTerm,
+    NotDivisible,
+)
 from altrun.families import PolySeq, Triangle, polyseq, q_specialize, triangle
-from altrun.fieldext import QuadExt, RatFunc
+from altrun.fieldext import QuadExt, RatFunc, RhoPoly
 from altrun.polys import Poly
 
 F = Fraction
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+_DISC_RHO = RatFunc(Poly([1, 0, -1]))  # rho^2 = 1 - x^2, over Q(x)
 
 
 def make(coeffs, order=None):
@@ -46,13 +57,32 @@ def test_constant_term_guards():
 
 
 def test_zero_constant_term_over_quadratic_extension():
-    rho = QuadExt.radical(sl._DISC_RHO)
+    rho = QuadExt.radical(_DISC_RHO)
     zero = rho * 0
     numerator = sl.Series.make([zero + 1, rho], 1)
     with pytest.raises(NonInvertibleConstantTerm):
         numerator / sl.Series.make([zero, rho], 1)
     with pytest.raises(NonInvertibleConstantTerm):
         1 / sl.Series.make([zero, zero + 1], 1)
+
+
+def test_zero_or_rho_constant_term_over_rho_poly():
+    rho, x = RhoPoly(0, 1), RhoPoly(Poly.x())
+    numerator = sl.Series.make([1 + x, rho], 1)
+    for b0 in (rho * 0, rho, 1 + rho):
+        with pytest.raises(NonInvertibleConstantTerm):
+            numerator / sl.Series.make([b0, x], 1)
+    with pytest.raises(NonInvertibleConstantTerm):
+        1 / sl.Series.make([rho * 0, rho], 1)
+
+
+def test_series_division_over_rho_poly_is_exact_and_names_n():
+    rho, x = RhoPoly(0, 1), RhoPoly(Poly.x())
+    den = sl.Series.make([1 - x * x, rho * x, x], 2)
+    quot = sl.Series.make([1 + x, rho, x * x], 2)
+    assert (quot * den) / den == quot
+    with pytest.raises(NotDivisible, match="coefficient 1: "):
+        sl.Series.make([1 + x, 1 + 0 * rho], 1) / sl.Series.make([1 + x, 0 * rho], 1)
 
 
 def test_series_str_table():
@@ -301,14 +331,123 @@ def test_theta_range():
 
 
 def test_extension_residue_guard():
-    polluted = sl.Series.make([QuadExt.radical(sl._DISC_RHO)], 1)
-    with pytest.raises(ExtensionResidue):
-        sl._reduce_to_polys(polluted, "test")
-    nonpoly = sl.Series.make(
-        [QuadExt(RatFunc(Poly([1]), Poly([1, 1])), 0, sl._DISC_RHO)], 1
-    )
-    with pytest.raises(ExtensionResidue):
-        sl._reduce_to_polys(nonpoly, "test")
+    rho, x = RhoPoly(0, 1), RhoPoly(Poly.x())
+    one = sl.Series.make([rho * 0 + 1], 2)
+    polluted = sl.Series.make([1 + x, x, rho], 2)
+    with pytest.raises(ExtensionResidue, match="^test: rho survives in coefficient 2$"):
+        sl._rho_free_quotient("test", polluted, one)
+    outside = sl.Series.make([1 + x, 1 + 0 * rho], 1)
+    with pytest.raises(ExtensionResidue, match="^test: coefficient 1: remainder"):
+        sl._rho_free_quotient("test", outside, sl.Series.make([1 + x, 0 * rho], 1))
+    clean = sl.Series.make([1 + x, 0 * rho, x], 2)
+    assert sl._rho_free_quotient("test", clean, one).egf == (Poly([1, 1]), 0, Poly([0, 2]))
+
+
+# The closed forms of T and Carlitz's EGF as they were computed over the field
+# Q(x)[rho]: every RatFunc operation gcd-reduced, and every rho part asserted
+# to cancel at the end.  An independent route to the same rows.
+
+
+def _field_rows(series):
+    assert all(c.rad.is_zero() and c.base.is_polynomial() for c in series.egf)
+    return sl.Series(tuple(c.base.num for c in series.egf), series.order)
+
+
+def _field_egf_T(order):
+    x = QuadExt(RatFunc.x(), 0, _DISC_RHO)
+    rho = QuadExt.radical(_DISC_RHO)
+    e1 = sl.exp_cz(rho, order)
+    e2 = sl.exp_cz(rho * 2, order)
+    num = (1 - x) * (1 + rho + (2 * x) * e1 + (1 - rho) * e2)
+    den = (1 + rho - x * x) + (1 - rho - x * x) * e2
+    return _field_rows(num / den)
+
+
+def _field_egf_carlitz(order):
+    x = QuadExt(RatFunc.x(), 0, _DISC_RHO)
+    rho = QuadExt.radical(_DISC_RHO)
+    quot = (rho + sl.sin_cz(rho, order)) / (x - sl.cos_cz(rho, order))
+    ratio = (1 - x) / (1 + x)
+    return _field_rows(ratio * quot * quot)
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_closed_forms_equal_the_field_route(order):
+    assert sl.egf_T(order) == _field_egf_T(order)
+    assert sl.egf_carlitz(order) == _field_egf_carlitz(order)
+
+
+@pytest.mark.parametrize("order", [-1, 0, 1, 2])
+def test_series_suite_at_small_orders_is_unchanged(order):
+    # Stored from the tree that computed egf_T and egf_carlitz over Q(x)[rho].
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(["verify", "--suite", "series", "--order", str(order)])
+    stored = GOLDEN_DIR / f"verify-series-order{order}.json"
+    assert buf.getvalue().encode("utf-8") == stored.read_bytes()
+
+
+# Closed-form mutants: each must fail its check, through the exact-division
+# and rho guards or by a mismatch with the triangle rows.
+
+
+def _mutant_T(numerator_x=2, den_rho=1, e1_rho=1):
+    def egf_T(order):
+        x, rho = RhoPoly(Poly.x()), RhoPoly(0, 1)
+        e1 = sl.exp_cz(rho * e1_rho, order)
+        e2 = sl.exp_cz(rho * 2, order)
+        num = (1 - x) * (1 + rho + (numerator_x * x) * e1 + (1 - rho) * e2)
+        den = (1 + den_rho * rho - x * x) + (1 - rho - x * x) * e2
+        return sl._rho_free_quotient("egf_T", num, den)
+
+    return egf_T
+
+
+def _mutant_carlitz(num_factor=-1, extra=0):
+    def egf_carlitz(order):
+        x, rho = RhoPoly(Poly.x()), RhoPoly(0, 1)
+        top = rho + sl.sin_cz(rho, order)
+        bottom = x - sl.cos_cz(rho, order)
+        den = (1 + x) * bottom * bottom * sl.exp_cz(RhoPoly(extra), order)
+        return sl._rho_free_quotient("egf_carlitz", (1 + num_factor * x) * top * top, den)
+
+    return egf_carlitz
+
+
+_X4 = Poly([0, 0, 0, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "name, mutant, check_id, detail",
+    [
+        # N with 2x*E -> 3x*E: N at z = 0 is (1-x)(2+3x), not a multiple of 2(1-x^2)
+        ("egf_T", _mutant_T(numerator_x=3), "series/egf-T",
+         "ExtensionResidue: egf_T: coefficient 0: remainder"),
+        # E = exp(rho z) -> exp(-rho z): right at z = 0, inexact from n = 1
+        ("egf_T", _mutant_T(e1_rho=-1), "series/egf-T",
+         "ExtensionResidue: egf_T: coefficient 1: remainder"),
+        # D with 1+rho -> 1-rho: D at z = 0 is 2 - 2x^2 - 2 rho
+        ("egf_T", _mutant_T(den_rho=-1), "series/egf-T",
+         "NonInvertibleConstantTerm: constant term (2 - 2*x^2) + (-2)*rho is not invertible"),
+        # Carlitz with (1-x) -> (1+x): (1+x)/(1-x) at z = 0
+        ("egf_carlitz", _mutant_carlitz(num_factor=1), "series/egf-carlitz",
+         "ExtensionResidue: egf_carlitz: coefficient 0: remainder"),
+        # an extra factor exp(x^4 z) in the denominator divides, and is wrong
+        ("egf_carlitz", _mutant_carlitz(extra=_X4), "series/egf-carlitz",
+         "mismatch at n=1: 2 - x^4 vs 2"),
+    ],
+)
+def test_closed_form_mutants_fail_their_check(monkeypatch, name, mutant, check_id, detail):
+    monkeypatch.setattr(sl, name, mutant)
+    sl.egf_R.cache_clear()
+    try:
+        report = verify.run_suite("series", order=12)
+    finally:
+        sl.egf_R.cache_clear()
+    results = {c.check_id: c for c in report.checks}
+    assert not results[check_id].ok
+    assert results[check_id].detail.startswith(detail)
+    assert results["series/f-diagonal"].ok
 
 
 def test_scale_z():
