@@ -34,23 +34,26 @@ Statistics are plain functions on tuples; `stat` dispatches by class name and
 distributions are the brute-force oracle for the recurrence triangles.  A
 statistic f is local when f(p + t) = f(p) + f(p[-2:] + t) - f(p[-2:]) for
 every prefix p of length at least 2: altrun, udrun, des, des_B, altrun_B, ap,
-la and fap are.  A single local statistic is folded through its class's
-walk (`_local_fold`): what the completions of a state add to f depends only
-on the state and the last two letters written, so it is counted once per
-such pair, from its children, and no word is built.
+la and fap are.  A tuple of local statistics is folded through its class's
+walk (`_local_fold`): what the completions of a state add to each f depends
+only on the state and the last two letters written, so it is counted once
+per such pair, from its children, and no word is built.
 
-The cycle statistics `crun` and `cyc`, alone or jointly, in any order, on
-the classes of `_SHORTEST` (`perm` and `derangement`), are folded through a
+A tuple of the cycle statistics `crun` and `cyc`, in any order, on the
+classes of `_SHORTEST` (`perm` and `derangement`), is folded through a
 second walk over the same permutations, in canonical cycle form: each cycle
 written from its minimum, the cycles by increasing minimum (the fundamental
 bijection, Stanley, EC1 1.3).  In that form both statistics add up along
 the walk (`_cycle_steps`), and what the completions of a state add is
 counted once per pattern of the state (`_cycle_key`, `_cycle_fold`).  Both
 folds are one memoized recursion (`_fold`) that lives only as long as its
-call.  Every other joint distribution, every other statistic and every mix
-is folded word by word.  The word-level `crun` and `cycle_count` are read
-from their definitions, the standard decomposition `cycle_canonical` and,
-for `crun`, `crun_of_cycles` and `cycle_runs`.
+call, and both carry a tuple of any width as one weighted sum along the
+walk (the transfer-matrix method, Stanley, EC1 4.7): statistic i counts
+`_stride(n)`**i, and `_unpacked` reads the values back.  Every other
+statistic and every mix of cycle and local statistics is folded word by
+word.  The word-level `crun` and `cycle_count` are read from their
+definitions, the standard decomposition `cycle_canonical` and, for `crun`,
+`crun_of_cycles` and `cycle_runs`.
 """
 
 from __future__ import annotations
@@ -181,7 +184,9 @@ def _fold(root, steps: Callable, done: Callable, bound: int) -> dict[int, int]:
     sum s as c << (b*s) with b = bound.bit_length() + 1 (at least 1, when
     `bound` is 0), so no count of at most `bound` carries into the next;
     `bound` must bound the completions of every state reached.  A negative
-    shift raises ValueError (a negative shift count).
+    shift raises ValueError (a negative shift count).  The folds of
+    `distribution` carry a tuple of statistics in one shift, each weighted
+    by its place value (`_stride`), so a sum s is a packed tuple of sums.
     """
     bits = bound.bit_length() + 1
     memo: dict = {}
@@ -203,6 +208,28 @@ def _fold(root, steps: Callable, done: Callable, bound: int) -> dict[int, int]:
     mask = (1 << bits) - 1
     return {s: c for s in range(packed.bit_length() // bits + 1)
             if (c := packed >> s * bits & mask)}
+
+
+def _stride(n: int) -> int:
+    """The base in which the folds pack a tuple of statistics on objects of size n.
+
+    It exceeds every folded statistic of such an object, so each value is
+    one digit of the packed sum.  A word has at most 2n letters.  altrun,
+    udrun, des, des_B and altrun_B count runs or descents of the word with
+    at most one letter prepended, so they are at most 2n.  On a Stirling
+    word ap and la are at most n, since each value's two copies make at
+    most one plateau, so fap = ap + la is at most 2n.  crun and cyc are at
+    most n, since a cycle of k letters has at most k runs with infinity
+    appended.  So every value is at most 2n.
+    """
+    return 2 * n + 1
+
+
+def _unpacked(counts: dict[int, int], head: int, stride: int, width: int) -> dict[tuple[int, ...], int]:
+    """{values: count} from `_fold`'s {sum: count}: value i is digit i, in
+    base `stride`, of `head` plus the sum."""
+    return {tuple((head + s) // stride**i % stride for i in range(width)): c
+            for s, c in counts.items()}
 
 
 def _signed_words(n: int, positive: int) -> Walk:
@@ -501,21 +528,14 @@ def left_ascent_plateaus(word: Sequence[int]) -> int:
 
 
 def flag_ascent_plateaus(word: Sequence[int]) -> int:
-    """fap = ap + la, where la = ap + [0 < w1 == w2] counts the one extra
-    plateau the prepended 0 can make; so fap = 2 ap + [0 < w1 == w2].
+    """fap = ap + la, read from its definition.  Since la = ap + [0 < w1 == w2]
+    counts the one extra plateau the prepended 0 can make, fap = 2 ap +
+    [0 < w1 == w2].
 
     >>> flag_ascent_plateaus((1, 1, 2, 2))
     3
     """
-    if len(word) < 2:
-        return 0
-    ap = 0
-    a, b = word[0], word[1]
-    for c in word[2:]:
-        if a < b == c:
-            ap += 1
-        a, b = b, c
-    return 2 * ap + (0 < word[0] == word[1])
+    return ascent_plateaus(word) + left_ascent_plateaus(word)
 
 
 def dual_map(word: Sequence[int]) -> Word:
@@ -581,28 +601,32 @@ def _cycle_key(state: CycleState | None) -> tuple | None:
     return len(left), bisect_left(left, last), up, may_close
 
 
-def _cycle_fold(kind: str, n: int) -> dict[tuple[int, int], int]:
-    """{(crun, cyc): number of permutations} over class `kind` (one of
-    `_SHORTEST`), from the canonical-cycle-form walk.
+def _cycle_fold(fns: Sequence[Callable], kind: str, n: int) -> dict[tuple[int, ...], int]:
+    """{values of `fns`: number of permutations} over class `kind` (one of
+    `_SHORTEST`), from the canonical-cycle-form walk; each of `fns` is
+    `crun` or `cycle_count`.
 
     What a completion adds to crun and cyc depends only on the relative
     order of the last letter and the values left (the open cycle's minimum
     lies below them all), on the direction of the last step and on whether
     the open cycle may close.  So `_fold` counts the completions once per
     `_cycle_key`, at every depth.  A step adding r runs and c cycles shifts
-    by r * (n + 1) + c: a permutation has at most n cycles, so each pair
-    (crun, cyc) is one sum of shifts.
+    by r * per_run + c * per_cycle, where per_run sums the place values
+    `_stride(n)`**i of the statistics i that are `crun`, and per_cycle those
+    that are `cycle_count`.
     """
-    shortest, stride = _SHORTEST[kind], n + 1
+    shortest, stride = _SHORTEST[kind], _stride(n)
+    per_run, per_cycle = (sum(stride**i for i, fn in enumerate(fns) if _CYCLE_STATS[fn] == j)
+                          for j in (0, 1))
 
     def steps(state: CycleState) -> Iterator[tuple[int, tuple | None, CycleState | None]]:
         for _, runs, cycles, child in _cycle_steps(state, shortest):
-            yield runs * stride + cycles, _cycle_key(child), child
+            yield runs * per_run + cycles * per_cycle, _cycle_key(child), child
 
     # 1 opens the first cycle, with one run; the empty permutation has none.
-    root, head = ((tuple(range(2, n + 1)), 1, True, shortest == 1), stride + 1) if n else (None, 0)
+    root, head = ((tuple(range(2, n + 1)), 1, True, shortest == 1), per_run + per_cycle) if n else (None, 0)
     counts = _fold(root, steps, lambda state: state is None, cardinality(kind, n))
-    return {divmod(head + total, stride): c for total, c in counts.items()}
+    return _unpacked(counts, head, stride, len(fns))
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +670,8 @@ _STATS_BY_CLASS = {
 # for every prefix p with len(p) >= 2: a head term on w[:2] plus a sum over
 # windows of at most three adjacent letters, none depending on its position.
 # (For len(p) < 2 the identity holds trivially, since p[-2:] == p.)
-# `distribution` folds these through the walks, keyed by the last two
-# letters written.
+# `distribution` folds any tuple of these through the walks, keyed by the
+# last two letters written.
 _LOCAL_STATS = frozenset({
     altrun, udrun, descents, descents_type_b, signed_altrun,
     ascent_plateaus, left_ascent_plateaus, flag_ascent_plateaus,
@@ -702,15 +726,14 @@ def distribution(
 
     `stats` is a nonempty sequence of (statistic name, variable name) pairs
     with distinct variable names; repeated names fail before any object is
-    generated.  The fold is chosen by class.  On the classes of `_SHORTEST`
-    (`perm` and `derangement`), statistics that are all `crun` or `cyc` (see
-    `_CYCLE_STATS`) are folded through the canonical-cycle-form walk
-    (`_cycle_fold`) and the joint (crun, cyc) counts projected onto them.  A
-    single local statistic (see `_LOCAL_STATS`) is folded through its
-    class's walk (`_local_fold`), once per (state, last two letters), with
-    no word built.  Every other statistic and joint distribution is folded
-    word by word.  Every fold first calls `generate`, which enforces the
-    enumeration budget.
+    generated.  There are three paths, and each takes a tuple of any width.
+    On the classes of `_SHORTEST` (`perm` and `derangement`), statistics
+    that are all `crun` or `cyc` (see `_CYCLE_STATS`) are folded through the
+    canonical-cycle-form walk (`_cycle_fold`).  Statistics that are all local
+    (see `_LOCAL_STATS`) are folded through their class's walk
+    (`_local_fold`), once per (state, last two letters), with no word built.
+    Everything else is folded word by word.  Every path first calls
+    `generate`, which enforces the enumeration budget.
 
     >>> str(distribution("perm", 3, [("altrun", "x")]))
     '2*x + 4*x^2'
@@ -727,40 +750,38 @@ def distribution(
         raise ValueError(f"variable names must be distinct, got {', '.join(variables)}")
     words = generate(kind, n)
     if kind in _SHORTEST and all(fn in _CYCLE_STATS for fn in fns):
-        at = [_CYCLE_STATS[fn] for fn in fns]
-        counts = Counter()
-        for pair, count in _cycle_fold(kind, n).items():
-            counts[tuple(pair[i] for i in at)] += count
-        return MultiPoly(variables, counts)
-    if len(fns) > 1:
-        streams = tee(words, len(fns))
-        return MultiPoly(variables, Counter(zip(*(map(fn, copy) for fn, copy in zip(fns, streams)))))
-    fn = fns[0]
-    if fn in _LOCAL_STATS:
-        return MultiPoly(variables, _local_fold(fn, kind, n))
-    return MultiPoly(variables, {(v,): c for v, c in Counter(map(fn, words)).items()})
+        counts = _cycle_fold(fns, kind, n)
+    elif all(fn in _LOCAL_STATS for fn in fns):
+        counts = _local_fold(fns, kind, n)
+    else:
+        counts = Counter(zip(*map(map, fns, tee(words, len(fns)))))
+    return MultiPoly(variables, counts)
 
 
-def _local_fold(fn: Callable[[tuple], int], kind: str, n: int) -> dict[tuple[int], int]:
-    """{(value,): number of words} of a local statistic `fn` on class `kind`.
+def _local_fold(fns: Sequence[Callable], kind: str, n: int) -> dict[tuple[int, ...], int]:
+    """{values of `fns`: number of words} of local statistics on class `kind`.
 
     With `key` the last two letters of a prefix p, locality gives f(p + t)
     - f(p) = f(key + t) - f(key) for every completion t of the walk's state
     s after p.  So `_fold` counts these once per (s, key), from the
-    children: a step writing a letter adds f(longer) - f(key), longer = key
-    + (letter,), to the child's counts at (child, longer[-2:]); each shift
-    is computed once per `longer`.  The distribution is f(()) plus the
-    root's counts.  The counts are packed
-    with bound `cardinality(kind, n)`: the completions of a state reached
-    from the root extend one prefix to distinct objects of the class.  The
-    shifts are never negative: each local statistic is a head term on the
-    first two letters plus a count of patterns (runs, descents, plateaus)
-    in windows of adjacent letters, all zero on the empty word, and
-    appending a letter keeps every window it had.  A "local" statistic that
-    decreases raises ValueError instead of returning counts.
+    children: a step writing a letter adds f_i(longer) - f_i(key), longer =
+    key + (letter,), to statistic i, and shifts the child's counts at
+    (child, longer[-2:]) by the sum of these weighted by their place values
+    `_stride(n)`**i; each shift is computed once per `longer`.  The
+    distribution is the values of `fns` on () plus the root's counts.  The
+    counts are packed with bound `cardinality(kind, n)`: the completions of
+    a state reached from the root extend one prefix to distinct objects of
+    the class.  No statistic decreases along a step: each local statistic
+    is a head term on the first two letters plus a count of patterns (runs,
+    descents, plateaus) in windows of adjacent letters, all zero on the
+    empty word, and appending a letter keeps every window it had.  A
+    "local" statistic that decreases raises ValueError instead of returning
+    counts.  It is checked one statistic at a time: in a weighted sum, a
+    fall of one could hide behind a rise of the next.
     """
     root, children, _, done = _WALKS[kind](n)
-    shifts: dict = {}  # longer -> f(longer) - f(longer[:-1]), which only its letters fix
+    stride = _stride(n)
+    shifts: dict = {}  # longer -> packed f(longer) - f(longer[:-1]), which only its letters fix
 
     def steps(node: tuple) -> Iterator[tuple[int, tuple, tuple]]:
         state, key = node
@@ -768,9 +789,15 @@ def _local_fold(fn: Callable[[tuple], int], kind: str, n: int) -> dict[tuple[int
             longer = (*key, letter)
             shift = shifts.get(longer)
             if shift is None:
-                shift = shifts[longer] = fn(longer) - fn(key)
+                shift = 0
+                for i, fn in enumerate(fns):
+                    rise = fn(longer) - fn(key)
+                    if rise < 0:
+                        raise ValueError(f"negative shift count: {fn.__name__} falls from {key} to {longer}")
+                    shift += rise * stride**i
+                shifts[longer] = shift
             below = child, longer[-2:]
             yield shift, below, below
 
     counts = _fold((root, ()), steps, lambda node: done(node[0]), cardinality(kind, n))
-    return {(fn(()) + s,): c for s, c in counts.items()}
+    return _unpacked(counts, sum(fn(()) * stride**i for i, fn in enumerate(fns)), stride, len(fns))

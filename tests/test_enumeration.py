@@ -156,10 +156,11 @@ def test_canonical_cycles_start_at_their_minima_in_increasing_order():
 
 
 def test_fap_is_ap_plus_la_off_stirling_words():
-    # test_dual_map_invariants_through_7 covers every Stirling word n <= 7;
-    # here the prepended 0 adds no plateau, or the word is too short for one.
-    for word in ((0, 0, 1), (-1, -1), (2, 1, 1), (1,), ()):
-        fap = en.ascent_plateaus(word) + en.left_ascent_plateaus(word)
+    # fap = ap + la = 2 ap + [0 < w1 == w2].  test_dual_map_invariants_through_7
+    # covers every Stirling word n <= 7; here the prepended 0 adds no
+    # plateau, or the word is too short for one.
+    for word in ((0, 0, 1), (-1, -1), (2, 1, 1), (1,), (), (1, 1, 2, 2)):
+        fap = 2 * en.ascent_plateaus(word) + (len(word) > 1 and 0 < word[0] == word[1])
         assert en.flag_ascent_plateaus(word) == fap
 
 
@@ -204,7 +205,7 @@ def test_dual_map_invariants_through_7():
             img = en.dual_map(sw)
             fap = en.flag_ascent_plateaus(sw)
             assert fap == en.altrun(img)
-            assert fap == en.ascent_plateaus(sw) + en.left_ascent_plateaus(sw)
+            assert fap == 2 * en.ascent_plateaus(sw) + (sw[0] == sw[1])
             # images always end with a descending run
             assert img[-2] > img[-1]
 
@@ -245,21 +246,37 @@ def test_distribution_examples():
 TAIL_CLASSES = ("perm", "signed", "signed_hat", "derangement", "stirling", "dual_stirling")
 
 
-def _sizes(kind):
-    return range(1 if kind == "signed_hat" else 0, 7 if kind.startswith("signed") else 8)
+def _sizes(kind, largest=7):
+    """n = 0..largest, one less for the signed classes; signed_hat starts at 1."""
+    return range(1 if kind == "signed_hat" else 0, largest + (0 if kind.startswith("signed") else 1))
 
 
-def _fold_mismatches(kind, name):
-    """The n <= 7 (<= 6 for signed classes) at which `distribution` of one
-    statistic differs from a plain word-by-word count."""
-    fn = en._statistic(kind, name)
-    bad = []
-    for n in _sizes(kind):
-        counts = Counter(map(fn, en.generate(kind, n)))
-        plain = MultiPoly(("x",), {(v,): c for v, c in counts.items()})
-        if en.distribution(kind, n, [(name, "x")]) != plain:
-            bad.append(n)
-    return bad
+def _word_distribution(kind, n, stats):
+    fns = [en._statistic(kind, name) for name, _ in stats]
+    counts = Counter(tuple(fn(w) for fn in fns) for w in en.generate(kind, n))
+    return MultiPoly(tuple(var for _, var in stats), counts)
+
+
+def _fold_mismatches(kind, stats, sizes):
+    """The n at which `distribution` of `stats` differs from a word-by-word count."""
+    return [n for n in sizes
+            if en.distribution(kind, n, stats) != _word_distribution(kind, n, stats)]
+
+
+def _as_stats(names):
+    return [(name, f"x{i}") for i, name in enumerate(names)]
+
+
+def _local_names(kind):
+    return [name for name, fn in en._STATS_BY_CLASS[kind].items() if fn in en._LOCAL_STATS]
+
+
+def _local_tuples(kind):
+    """Each local statistic of `kind` alone, every ordered pair of distinct
+    ones, and (altrun, altrun) where the class has altrun."""
+    names = _local_names(kind)
+    repeated = [("altrun", "altrun")] if "altrun" in names else []
+    return [(name,) for name in names] + list(permutations(names, 2)) + repeated
 
 
 def test_blocks_join_into_the_stream():
@@ -269,16 +286,43 @@ def test_blocks_join_into_the_stream():
             assert joined == list(en.generate(kind, n)), (kind, n)
 
 
-def test_local_fold_equals_the_word_fold():
-    folded = 0
+def test_local_fold_equals_the_word_fold(monkeypatch):
+    folded, calls = [], 0
+    real = en._local_fold
+    monkeypatch.setattr(en, "_local_fold", lambda *a: folded.append(a) or real(*a))
+    tuples = 0
     for kind in TAIL_CLASSES:
-        assert kind in en._WALKS
-        for name, fn in en._STATS_BY_CLASS[kind].items():
-            if fn in en._LOCAL_STATS:
-                folded += 1
-                assert _fold_mismatches(kind, name) == [], (kind, name)
-    # altrun, udrun, des on three classes; des_B, altrun_B on two; ap, la, fap
-    assert folded == 3 * 3 + 2 * 2 + 3
+        for names in _local_tuples(kind):
+            tuples += 1
+            calls += len(_sizes(kind, 6))
+            assert _fold_mismatches(kind, _as_stats(names), _sizes(kind, 6)) == [], (kind, names)
+    # altrun, udrun, des on three classes: 3 alone, 6 pairs and (altrun,
+    # altrun); des_B, altrun_B on two: 2 and 2; ap, la, fap: 3 and 6
+    assert tuples == 3 * 10 + 2 * 4 + 9
+    assert len(folded) == calls
+
+
+def test_no_folded_statistic_reaches_the_stride():
+    # `_stride` is a bound written in its docstring; here no value reaches
+    # it on any word at n <= 7 (signed <= 6).  The widest fold of each
+    # class, all its local statistics at once (and crun, cyc on the classes
+    # of `_SHORTEST`), must equal the word count there too.
+    for kind in TAIL_CLASSES:
+        for names in [_local_names(kind)] + [["crun", "cyc"]] * (kind in en._SHORTEST):
+            stats = _as_stats(names)
+            for n in _sizes(kind):
+                words = _word_distribution(kind, n, stats)
+                assert max(map(max, words.terms), default=0) < en._stride(n), (kind, names, n)
+                assert en.distribution(kind, n, stats) == words, (kind, names, n)
+
+
+def test_too_small_a_stride_breaks_the_joint_fold(monkeypatch):
+    # n + 1 exceeds every statistic of a permutation, but not fap or the
+    # runs of the 2n letters of a dual Stirling word, so a value carries
+    # into the next statistic's digit.
+    monkeypatch.setattr(en, "_stride", lambda n: n + 1)
+    for kind, names in (("stirling", ("ap", "fap")), ("dual_stirling", ("altrun", "udrun"))):
+        assert _fold_mismatches(kind, _as_stats(names), _sizes(kind, 6)), kind
 
 
 def test_fold_memo_does_not_outlive_its_call():
@@ -320,19 +364,22 @@ def test_a_memo_keyed_by_the_last_letter_alone_breaks_the_fold(monkeypatch):
 
     monkeypatch.setattr(en, "_fold", last_letter_keys)
     for kind, name in (("perm", "altrun"), ("dual_stirling", "altrun"), ("stirling", "fap")):
-        assert _fold_mismatches(kind, name), (kind, name)
+        assert _fold_mismatches(kind, [(name, "x")], _sizes(kind)), (kind, name)
 
 
 def test_a_decreasing_local_statistic_raises(monkeypatch):
-    # A step that lowers the statistic would need a negative shift of the
-    # packed counts, which Python refuses.
+    # A step that lowers a statistic would need a negative shift of the
+    # packed counts.  Each step of (-altrun, altrun) shifts by (stride - 1)
+    # times what it adds to altrun, never below 0, so only a check of each
+    # statistic on its own catches the fall of the first.
     def negated(word):
         return -en.altrun(word)
 
     monkeypatch.setitem(en._PERM_STATS, "negated", negated)
     monkeypatch.setattr(en, "_LOCAL_STATS", en._LOCAL_STATS | {negated})
-    with pytest.raises(ValueError, match="negative shift count"):
-        en.distribution("perm", 4, [("negated", "x")])
+    for stats in ([("negated", "x")], [("negated", "x"), ("altrun", "y")]):
+        with pytest.raises(ValueError, match="negative shift count"):
+            en.distribution("perm", 4, stats)
 
 
 def inversions(word):
@@ -349,7 +396,7 @@ def test_a_nonlocal_statistic_in_the_local_set_breaks_the_fold(monkeypatch, name
     # test_as_equals_udrun.)
     monkeypatch.setitem(en._PERM_STATS, name, fn)
     monkeypatch.setattr(en, "_LOCAL_STATS", en._LOCAL_STATS | {fn})
-    assert _fold_mismatches("dual_stirling", name)
+    assert _fold_mismatches("dual_stirling", [(name, "x")], _sizes("dual_stirling"))
 
 
 def test_distribution_total_mass():
@@ -486,32 +533,24 @@ CYCLE_STAT_SETS = (
 )
 
 
-def _word_distribution(kind, n, stats):
-    fns = [en._statistic(kind, name) for name, _ in stats]
-    counts = Counter(tuple(fn(w) for fn in fns) for w in en.generate(kind, n))
-    return MultiPoly(tuple(var for _, var in stats), counts)
-
-
-def _cycle_fold_mismatches(kind, stats, sizes):
-    """The n at which `distribution` of `stats` differs from a word-by-word count."""
-    return [n for n in sizes
-            if en.distribution(kind, n, stats) != _word_distribution(kind, n, stats)]
-
-
 @pytest.mark.parametrize("stats", CYCLE_STAT_SETS, ids=lambda s: ",".join(n for n, _ in s))
 def test_cycle_fold_equals_the_word_fold(monkeypatch, stats):
     folded = []
     real = en._cycle_fold
     monkeypatch.setattr(en, "_cycle_fold", lambda *a: folded.append(a) or real(*a))
     for kind, sizes in CYCLE_SIZES.items():
-        assert _cycle_fold_mismatches(kind, stats, sizes) == [], kind
+        assert _fold_mismatches(kind, stats, sizes) == [], kind
     assert len(folded) == len(CYCLE_SIZES["perm"]) + len(CYCLE_SIZES["derangement"])
 
 
 def test_other_statistics_bypass_the_cycle_fold(monkeypatch):
     monkeypatch.setattr(en, "_cycle_fold", None)  # any call raises TypeError
+    assert en.distribution("perm", 5, [("altrun", "x")]) == _word_distribution("perm", 5, [("altrun", "x")])
+    # A mix of cycle and local statistics reaches neither fold.
+    monkeypatch.setattr(en, "_local_fold", None)
     for kind, stats in (("perm", [("crun", "x"), ("fix", "y")]), ("derangement", [("cpk", "x")]),
-                        ("dual_stirling", [("crun", "x")]), ("perm", [("altrun", "x")])):
+                        ("dual_stirling", [("crun", "x")]), ("perm", [("crun", "x"), ("altrun", "y")]),
+                        ("derangement", [("des", "x"), ("cyc", "q")])):
         assert en.distribution(kind, 5, stats) == _word_distribution(kind, 5, stats)
 
 
@@ -546,7 +585,7 @@ def test_a_broken_cycle_fold_fails_against_the_word_oracle(monkeypatch, stats, m
     # statistic read off the walk must each give a wrong distribution.
     mutate(monkeypatch)
     for kind, sizes in CYCLE_SIZES.items():
-        assert _cycle_fold_mismatches(kind, stats, sizes), kind
+        assert _fold_mismatches(kind, stats, sizes), kind
 
 
 def test_repeated_variable_names_fail_before_generating(monkeypatch):

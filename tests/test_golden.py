@@ -30,6 +30,10 @@ for _family in families.POLY_FAMILIES:
     CASES[f"poly-{_family}-20.txt"] = ["poly", "--family", _family, "--n", "20"]
 CASES["dist-perm-altrun-6.txt"] = ["dist", "--class", "perm", "--stat", "altrun", "--n", "6"]
 CASES["dist-perm-crun-cyc-6.txt"] = ["dist", "--class", "perm", "--stat", "crun,cyc", "--n", "6"]
+CASES["dist-perm-altrun-des-7.txt"] = ["dist", "--class", "perm", "--stat", "altrun,des", "--n", "7"]
+CASES["dist-dual_stirling-altrun-udrun-5.txt"] = [
+    "dist", "--class", "dual_stirling", "--stat", "altrun,udrun", "--n", "5"
+]
 CASES["dist-dual_stirling-altrun-6.txt"] = [
     "dist", "--class", "dual_stirling", "--stat", "altrun", "--n", "6"
 ]
