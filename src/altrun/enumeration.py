@@ -347,10 +347,11 @@ def altrun(word: Sequence[int]) -> int:
 
 
 def udrun(word: Sequence[int]) -> int:
-    """Alternating runs after prepending 0.
+    """Alternating runs after prepending 0: up-down runs on permutations,
+    and `altrun_B` on signed words.
 
-    >>> udrun((3, 2, 4, 1, 5, 6))
-    5
+    >>> udrun((3, 2, 4, 1, 5, 6)), udrun((2, -1))
+    (5, 2)
     """
     return _runs((0, *word))
 
@@ -384,15 +385,6 @@ def longest_alternating_subsequence(word: Sequence[int]) -> int:
 def descents_type_b(word: Sequence[int]) -> int:
     """Type B descents of a signed word, counting position 0 against 0."""
     return descents((0, *word))
-
-
-def signed_altrun(word: Sequence[int]) -> int:
-    """Alternating runs of the 0-prepended signed word.
-
-    >>> signed_altrun((2, -1))
-    2
-    """
-    return _runs((0, *word))
 
 
 def fixed_points(word: Sequence[int]) -> int:
@@ -648,7 +640,7 @@ _PERM_STATS = {
 
 _SIGNED_STATS = {
     "des_B": descents_type_b,
-    "altrun_B": signed_altrun,
+    "altrun_B": udrun,
 }
 
 _STIRLING_STATS = {
@@ -673,7 +665,7 @@ _STATS_BY_CLASS = {
 # `distribution` folds any tuple of these through the walks, keyed by the
 # last two letters written.
 _LOCAL_STATS = frozenset({
-    altrun, udrun, descents, descents_type_b, signed_altrun,
+    altrun, udrun, descents, descents_type_b,
     ascent_plateaus, left_ascent_plateaus, flag_ascent_plateaus,
 })
 

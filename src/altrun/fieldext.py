@@ -13,8 +13,11 @@ remainder sequence over Z[x] whose monic result is the unique gcd over Q[x],
 only when the denominator is not constant; negation and a nonzero scalar
 multiple keep the canonical form without one.  QuadExt represents
 base + rad*rho where rho^2 reduces to the carried discriminant; elements
-with different discriminants must never be mixed.  The theta operator needs
-them: its radical r has r^2 = (1+x)/(1-x), which is not a polynomial.
+with different discriminants must never be mixed.  No check computes in
+this field any more: `serieslab.theta_check` reads r'/r once from
+`QuadExt.derivative` on r = sqrt((1+x)/(1-x)) and then steps theta^n r over
+Z[x], and the field route to theta^n r (`serieslab.theta_power_r`) is kept
+as a test oracle.
 """
 
 from __future__ import annotations

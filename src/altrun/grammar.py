@@ -173,7 +173,7 @@ class Grammar:
                 for img_exps, img_coeff in image.terms.items():
                     key = tuple(map(add, lowered, img_exps))
                     out[key] = out.get(key, 0) + coeff * e * img_coeff
-        return MultiPoly(self.alphabet, out)
+        return MultiPoly._made(p.alphabet, out)
 
     def iterate(self, seed: MultiPoly, n: int) -> MultiPoly:
         """Apply the derivative n times; n = 0 returns the seed."""

@@ -43,6 +43,21 @@ class MultiPoly(ExactRing):
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _made(cls, alphabet: tuple[str, ...], terms: dict) -> MultiPoly:
+        """`terms` over `alphabet` as given: built by arithmetic on valid
+        MultiPolys, so the letters are distinct and every key is a
+        nonnegative exponent tuple of the right length.  Zero coefficients
+        are dropped and any non-`int` one is normalised by `exact`."""
+        new = object.__new__(cls)
+        object.__setattr__(new, "alphabet", alphabet)
+        object.__setattr__(
+            new,
+            "terms",
+            {e: c if type(c) is int else exact(c) for e, c in terms.items() if c},
+        )
+        return new
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -109,14 +124,14 @@ class MultiPoly(ExactRing):
         out = dict(self.terms)
         for exps, c in other.terms.items():
             out[exps] = out.get(exps, 0) + c
-        return MultiPoly(self.alphabet, out)
+        return MultiPoly._made(self.alphabet, out)
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.alphabet, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._made(self.alphabet, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
-            return MultiPoly(
+            return MultiPoly._made(
                 self.alphabet, {e: c * other for e, c in self.terms.items()}
             )
         if not isinstance(other, MultiPoly):
@@ -127,7 +142,7 @@ class MultiPoly(ExactRing):
             for e2, c2 in other.terms.items():
                 key = tuple(map(add, e1, e2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly(self.alphabet, out)
+        return MultiPoly._made(self.alphabet, out)
 
     def __pow__(self, exponent: int) -> MultiPoly:
         if not isinstance(exponent, int) or exponent < 0:
@@ -138,7 +153,7 @@ class MultiPoly(ExactRing):
         if isinstance(value, MultiPoly):
             return value
         if isinstance(value, (int, Fraction)):
-            return MultiPoly.constant(self.alphabet, value)
+            return MultiPoly._made(self.alphabet, {(0,) * len(self.alphabet): value})
         return NotImplemented
 
     # -- calculus, substitution, conversion ----------------------------------
@@ -149,11 +164,9 @@ class MultiPoly(ExactRing):
         out: dict[tuple[int, ...], Scalar] = {}
         for exps, c in self.terms.items():
             e = exps[slot]
-            if e == 0:
-                continue
-            key = exps[:slot] + (e - 1,) + exps[slot + 1 :]
-            out[key] = out.get(key, 0) + c * e
-        return MultiPoly(self.alphabet, out)
+            if e:
+                out[exps[:slot] + (e - 1,) + exps[slot + 1 :]] = c * e
+        return MultiPoly._made(self.alphabet, out)
 
     def substitute(
         self,
@@ -209,8 +222,26 @@ class MultiPoly(ExactRing):
         return Poly.from_terms({e[slot]: c for e, c in self.terms.items()})
 
     def extended(self, alphabet: Iterable[str]) -> MultiPoly:
-        """Re-embed into a larger alphabet containing the current letters."""
-        return self.substitute({}, alphabet)
+        """Re-embed into a larger alphabet containing the current letters.
+
+        Each exponent moves to its letter's slot in `alphabet`; a letter
+        missing there raises UnknownSymbol.
+        """
+        target = tuple(alphabet)
+        if len(set(target)) != len(target):
+            raise ValueError("alphabet letters must be distinct")
+        slots = []
+        for letter in self.alphabet:
+            if letter not in target:
+                raise UnknownSymbol(letter)
+            slots.append(target.index(letter))
+        out = {}
+        for exps, c in self.terms.items():
+            key = [0] * len(target)
+            for slot, e in zip(slots, exps):
+                key[slot] = e
+            out[tuple(key)] = c
+        return MultiPoly._made(target, out)
 
     # -- comparison / display ------------------------------------------------
 

@@ -12,9 +12,10 @@ runs it, so `Fraction(4, 2)` is stored as `4` and mixed results such as
 on `==`, `hash` and `str` for integral values, equality, hashing and printed
 forms do not depend on which of the two a coefficient happens to be.  True
 division (`Poly / scalar`, the `divmod` quotient) lifts to `Fraction` first,
-so no path yields a float.  The hot kernel runs in `int`: `poly_gcd`
-clears denominators and runs a primitive remainder sequence over Z[x],
-dividing by a leading coefficient only once, to make the result monic.
+so no path yields a float; `Poly / Poly` is exact division (`divide_exact`).
+The hot kernel runs in `int`: `poly_gcd` clears denominators and runs a
+primitive remainder sequence over Z[x], dividing by a leading coefficient
+only once, to make the result monic.
 `evaluate` runs Horner's rule and always returns a `Fraction`.
 
 The indeterminate is anonymous; `to_str` takes the display name (``x`` by
@@ -242,13 +243,22 @@ class Poly(ExactRing):
                     out[j] += a * b
         return Poly(out)
 
-    def __truediv__(self, scalar) -> Poly:
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if scalar == 1:
-            return self
-        scalar = as_fraction(scalar)
-        return Poly([c / scalar for c in self.coeffs])
+    def __truediv__(self, other) -> Poly:
+        """Division by a scalar, or exact division by a polynomial through
+        `divide_exact` (NotDivisible on a remainder)."""
+        if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
+            other = as_fraction(other)
+            return Poly([c / other for c in self.coeffs])
+        if isinstance(other, Poly):
+            return divide_exact(self, other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        """A scalar over a polynomial is not offered: only a Poly divides
+        by a Poly, exactly."""
+        return NotImplemented
 
     def __pow__(self, exponent: int) -> Poly:
         if not isinstance(exponent, int) or exponent < 0:

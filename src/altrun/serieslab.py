@@ -2,15 +2,15 @@
 
 A Series stores the EGF coefficients egf[n] = n! [z^n] for n = 0..order
 and computes with their own exact arithmetic.  The rings used are Q
-(`int`/`Fraction`), Q[x] (`Poly`), Q[x,y] (`MultiPoly`), Z[x][rho] with
-rho^2 = 1 - x^2 (`RhoPoly`) and the quadratic extension Q(x)[rho]/(rho^2 - D)
-(`QuadExt`).  Products, quotients, `exp`, `log` and `sqrt` are binomial
-convolutions of the stored values, so a series with integer EGF coefficients
-(T, Carlitz, T^q for integer q, the derangement EGF) is computed in integers
-throughout, with no 1/n! anywhere.  All operations truncate consistently at
-the order.  Series division inverts an `int` or `Fraction` constant term
-once; any other constant term divides each coefficient through the
-coefficient's own `/`, which over Z[x][rho] is exact division in Q[x].
+(`int`/`Fraction`), Q[x] (`Poly`), Q[x,y] (`MultiPoly`) and Z[x][rho] with
+rho^2 = 1 - x^2 (`RhoPoly`).  Products, quotients, `exp`, `log` and `sqrt`
+are binomial convolutions of the stored values, so a series with integer
+EGF coefficients (T, Carlitz, T^q for integer q, the derangement EGF) is
+computed in integers throughout, with no 1/n! anywhere.  All operations
+truncate consistently at the order.  Series division inverts an `int` or
+`Fraction` constant term once; any other constant term divides each
+coefficient through the coefficient's own `/`, which over Q[x] and over
+Z[x][rho] is exact division in Q[x].
 
 The closed-form generating functions of the run polynomials live here.  The
 two that need sqrt(1-x^2), T and Carlitz's EGF, are each one quotient over
@@ -20,6 +20,12 @@ quotient divides exactly and every rho part cancels is asserted
 `egf_R` is R(x,z;q) = T(x,z)^q = exp(q log T) over Q[x,q] (rows in Z[x,q]),
 so the q-identities are checked symbolically in q rather than at sample
 values, and the F-dual identity is one exact polynomial identity per n.
+
+The theta operator x d/dx on r = sqrt((1+x)/(1-x)) needs no field either:
+theta^n r = r P_n / w^n with P_n in Z[x], where r'/r = u/w is read once from
+`QuadExt`'s derivative rule, and `theta_check` steps P_n by the product
+rule.  `theta_power_r` and the two `theta_expected*` closed forms stay as
+the field route, which the tests use as an oracle.
 
 Each `check_*` identity returns its two sides as tuples indexed by n: n!
 times coefficient n of the closed form, and the row it must equal.  `verify`
@@ -150,10 +156,10 @@ class Series(ExactRing):
         """c_n = (a_n - sum_(k<n) C(n, k) c_k b_(n-k)) / b_0.
 
         An `int` or `Fraction` b_0 is inverted once.  Any other b_0 divides
-        each c_n through the coefficient's own `/`: over `RhoPoly` that is
-        exact division in Q[x], and a NotDivisible there names n.  A b_0
-        that its ring cannot divide by (zero, or a `RhoPoly` with a rho
-        part) raises NonInvertibleConstantTerm.
+        each c_n through the coefficient's own `/`: over `Poly` and
+        `RhoPoly` that is exact division in Q[x], and a NotDivisible there
+        names n.  A b_0 that its ring cannot divide by (zero, or a
+        `RhoPoly` with a rho part) raises NonInvertibleConstantTerm.
         """
         other = self._coerce(other)
         b = other.egf
@@ -562,15 +568,33 @@ def theta_expected_odd_form(m: int) -> QuadExt:
     return QuadExt.scalar(scalar, _DISC_R) / QuadExt.radical(_DISC_R)
 
 
+def _theta_step(p: Poly, n: int, u: Poly, w: Poly) -> Poly:
+    """P_(n+1) from P_n, where theta^n r = r P_n / w^n and r'/r = u/w.
+
+    theta(r P/w^n) = x (r' P + r P' - n r P w'/w) / w^n
+                   = r x (u P + w P' - n w' P) / w^(n+1),
+    so the step stays in Z[x] and never divides.
+    """
+    return (u * p + w * p.derivative() - n * w.derivative() * p).shift(1)
+
+
 def theta_check(max_n: int) -> int | None:
-    """The first n <= max_n where theta^n r differs from its closed form (or,
-    for odd n, from its odd-index form), or None when every n agrees."""
-    value = QuadExt.radical(_DISC_R)
-    x = RatFunc.x()
+    """The first n <= max_n where theta^n r differs from r F_n/(1-x^2)^n, or
+    None when every n agrees.
+
+    r'/r = u/w is read once, from the field's own derivative rule on r.
+    After that theta^n r = r P_n / w^n is stepped over Z[x] by
+    `_theta_step`, and each n compares the cross-multiplied
+    P_n (1-x^2)^n == F_n w^n, with no gcd and no division.
+    """
+    log_derivative = QuadExt.radical(_DISC_R).derivative().rad
+    u, w = log_derivative.num, log_derivative.den
+    rows = families.polyseq("Fpoly", max(max_n, 0))
+    one_minus_x2 = Poly([1, 0, -1])
+    p = left = right = Poly.one()  # P_n, (1-x^2)^n and w^n
     for n in range(max_n + 1):
-        if value != theta_expected(n):
+        if p * left != rows.poly(n) * right:
             return n
-        if n % 2 == 1 and value != theta_expected_odd_form((n - 1) // 2):
-            return n
-        value = value.derivative() * x
+        p = _theta_step(p, n, u, w)
+        left, right = left * one_minus_x2, right * w
     return None

@@ -166,7 +166,7 @@ def test_fap_is_ap_plus_la_off_stirling_words():
 
 def test_runs_reject_equal_neighbours():
     for stat_fn, word in ((en.altrun, (1, 2, 2)), (en.altrun, (2, 1, 1)),
-                          (en.udrun, (1, 1)), (en.signed_altrun, (-1, 2, 2))):
+                          (en.udrun, (1, 1)), (en.udrun, (-1, 2, 2))):
         with pytest.raises(ValueError, match="equal neighbours"):
             stat_fn(word)
 
@@ -229,9 +229,8 @@ def test_as_equals_udrun():
 
 
 def test_signed_altrun_examples():
-    assert en.signed_altrun((1, 2)) == 1
-    assert en.signed_altrun((2, -1)) == 2
-    assert en.signed_altrun((1,)) == 1
+    for word, runs in (((1, 2), 1), ((2, -1), 2), ((1,), 1)):
+        assert en.stat(word, "altrun_B", "signed") == runs
 
 
 def test_distribution_examples():

@@ -85,6 +85,18 @@ def test_series_division_over_rho_poly_is_exact_and_names_n():
         sl.Series.make([1 + x, 1 + 0 * rho], 1) / sl.Series.make([1 + x, 0 * rho], 1)
 
 
+def test_series_division_over_poly_is_exact_and_names_n():
+    one_plus_x, x = Poly([1, 1]), Poly.x()
+    quot = sl.Series((one_plus_x, x), 1) / sl.Series((Poly.one(), 3 * x), 1)
+    assert quot == sl.Series((one_plus_x, Poly([0, -2, -3])), 1)
+    den = sl.Series((one_plus_x, x * x), 1)
+    assert (quot * den) / den == quot
+    with pytest.raises(NonInvertibleConstantTerm):
+        quot / sl.Series((Poly(), x), 1)
+    with pytest.raises(NotDivisible, match="coefficient 1: "):
+        sl.Series((one_plus_x, Poly.one()), 1) / sl.Series((one_plus_x, x), 1)
+
+
 def test_series_str_table():
     text = str(make([1, 1], order=2))
     assert text.splitlines() == ["z^0/0!: 1", "z^1/1!: 1", "z^2/2!: 0"]
@@ -328,6 +340,24 @@ def test_theta_examples():
 
 def test_theta_range():
     assert sl.theta_check(10) is None
+
+
+def test_theta_field_route_is_an_oracle():
+    for n in range(11):
+        assert sl.theta_power_r(n) == sl.theta_expected(n)
+    for m in range(5):
+        assert sl.theta_expected_odd_form(m) == sl.theta_expected(2 * m + 1)
+
+
+@pytest.mark.parametrize("name, mutant", [
+    # the step without its -n w' P term
+    ("_theta_step", lambda p, n, u, w: (u * p + w * p.derivative()).shift(1)),
+    # r^2 = (1+x)/(1-x)^2 in place of (1+x)/(1-x)
+    ("_DISC_R", RatFunc(Poly([1, 1]), Poly([1, -1]) ** 2)),
+])
+def test_theta_check_rejects_a_mutant(monkeypatch, name, mutant):
+    monkeypatch.setattr(sl, name, mutant)
+    assert sl.theta_check(10) is not None
 
 
 def test_extension_residue_guard():
