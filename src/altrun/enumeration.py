@@ -350,8 +350,8 @@ def udrun(word: Sequence[int]) -> int:
     """Alternating runs after prepending 0: up-down runs on permutations,
     and `altrun_B` on signed words.
 
-    >>> udrun((3, 2, 4, 1, 5, 6)), udrun((2, -1))
-    (5, 2)
+    >>> udrun((3, 2, 4, 1, 5, 6))
+    5
     """
     return _runs((0, *word))
 
@@ -385,6 +385,16 @@ def longest_alternating_subsequence(word: Sequence[int]) -> int:
 def descents_type_b(word: Sequence[int]) -> int:
     """Type B descents of a signed word, counting position 0 against 0."""
     return descents((0, *word))
+
+
+def signed_altrun(word: Sequence[int]) -> int:
+    """Alternating runs of the 0-prepended signed word: the public name of
+    `altrun_B`, which is the same scan as `udrun`.
+
+    >>> signed_altrun((2, -1))
+    2
+    """
+    return udrun(word)
 
 
 def fixed_points(word: Sequence[int]) -> int:

@@ -230,7 +230,7 @@ def test_as_equals_udrun():
 
 def test_signed_altrun_examples():
     for word, runs in (((1, 2), 1), ((2, -1), 2), ((1,), 1)):
-        assert en.stat(word, "altrun_B", "signed") == runs
+        assert en.signed_altrun(word) == en.stat(word, "altrun_B", "signed") == runs
 
 
 def test_distribution_examples():
