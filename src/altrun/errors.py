@@ -53,10 +53,5 @@ class BadConstantTerm(AltrunError):
     """Series operation requires constant term 0 (exp) or 1 (log/sqrt/pow)."""
 
 
-class ExtensionResidue(AltrunError):
-    """A closed form left a series coefficient outside Q[x]: a radical part
-    that should have cancelled, or a quotient that did not divide exactly."""
-
-
 class UnknownFamily(AltrunError):
     """No triangle or polynomial family with this name."""

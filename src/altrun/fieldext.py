@@ -1,11 +1,5 @@
-"""Exact rings with the radical rho: Z[x][rho] with rho^2 = 1 - x^2, and the
-rational-function field Q(x) with its quadratic extensions Q(x)[rho]/(rho^2 - D).
-
-RhoPoly is a + b*rho with a, b polynomials and rho^2 = 1 - x^2 fixed.  That
-is a polynomial, so products stay in the ring, and the closed forms of T and
-of Carlitz's EGF are computed there with no field at all: their only
-division is by a constant term with no rho part, exact in Q[x] on both
-components.
+"""The rational-function field Q(x) and its quadratic extensions
+Q(x)[rho]/(rho^2 - D).
 
 RatFunc is kept in canonical form (gcd-reduced, monic denominator) so that
 equality is structural.  The reduction runs `polys.poly_gcd`, a primitive
@@ -17,7 +11,8 @@ with different discriminants must never be mixed.  No check computes in
 this field any more: `serieslab.theta_check` reads r'/r once from
 `QuadExt.derivative` on r = sqrt((1+x)/(1-x)) and then steps theta^n r over
 Z[x], and the field route to theta^n r (`serieslab.theta_power_r`) is kept
-as a test oracle.
+as a test oracle.  The closed forms of T and of Carlitz's EGF need no
+radical either: `serieslab` computes them over Q[x] from cosh/sinh parts.
 """
 
 from __future__ import annotations
@@ -26,74 +21,6 @@ from fractions import Fraction
 
 from .errors import DiscriminantMismatch
 from .polys import ExactRing, Poly, Scalar, divide_exact, poly_gcd, power
-
-
-class RhoPoly(ExactRing):
-    """a + b*rho over polynomials in x, with rho^2 = 1 - x^2.
-
-    >>> rho, x = RhoPoly(0, 1), RhoPoly(Poly.x())
-    >>> rho * rho == 1 - x * x
-    True
-    >>> str((1 + rho) * (1 - rho) / (x * x))
-    '(1) + (0)*rho'
-
-    Division is exact division by an element with no rho part: both
-    components go through `divide_exact`, which raises NotDivisible on a
-    remainder.  A divisor with a rho part, or zero, raises ZeroDivisionError.
-    """
-
-    __slots__ = ("base", "rad")
-
-    def __init__(self, base: Poly | Scalar = 0, rad: Poly | Scalar = 0):
-        object.__setattr__(self, "base", base if isinstance(base, Poly) else Poly.constant(base))
-        object.__setattr__(self, "rad", rad if isinstance(rad, Poly) else Poly.constant(rad))
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, RhoPoly):
-            return value
-        if isinstance(value, (int, Fraction, Poly)):
-            return RhoPoly(value)
-        return NotImplemented
-
-    def __add__(self, other) -> RhoPoly:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RhoPoly(self.base + other.base, self.rad + other.rad)
-
-    def __neg__(self) -> RhoPoly:
-        return RhoPoly(-self.base, -self.rad)
-
-    def __mul__(self, other) -> RhoPoly:
-        if isinstance(other, (int, Fraction)):
-            return RhoPoly(self.base * other, self.rad * other)
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, c, d = self.base, self.rad, other.base, other.rad
-        bd = b * d  # b*d*rho^2 = b*d - x^2*b*d
-        return RhoPoly(a * c + bd - bd.shift(2), a * d + b * c)
-
-    def __truediv__(self, other) -> RhoPoly:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.rad:
-            raise ZeroDivisionError(f"divisor {other} has a rho part")
-        return RhoPoly(divide_exact(self.base, other.base), divide_exact(self.rad, other.base))
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.base == other.base and self.rad == other.rad
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.rad))
-
-    def to_str(self, var: str = "x") -> str:
-        return f"({self.base.to_str(var)}) + ({self.rad.to_str(var)})*rho"
 
 
 class RatFunc(ExactRing):

@@ -2,21 +2,21 @@
 
 A Series stores the EGF coefficients egf[n] = n! [z^n] for n = 0..order
 and computes with their own exact arithmetic.  The rings used are Q
-(`int`/`Fraction`), Q[x] (`Poly`), Q[x,y] (`MultiPoly`) and Z[x][rho] with
-rho^2 = 1 - x^2 (`RhoPoly`).  Products, quotients, `exp`, `log` and `sqrt`
-are binomial convolutions of the stored values, so a series with integer
-EGF coefficients (T, Carlitz, T^q for integer q, the derangement EGF) is
-computed in integers throughout, with no 1/n! anywhere.  All operations
-truncate consistently at the order.  Series division inverts an `int` or
-`Fraction` constant term once; any other constant term divides each
-coefficient through the coefficient's own `/`, which over Q[x] and over
-Z[x][rho] is exact division in Q[x].
+(`int`/`Fraction`), Q[x] (`Poly`) and Q[x,y] (`MultiPoly`).  Products,
+quotients, `exp`, `log` and `sqrt` are binomial convolutions of the stored
+values, so a series with integer EGF coefficients (T, Carlitz, T^q for
+integer q, the derangement EGF) is computed in integers throughout, with no
+1/n! anywhere.  All operations truncate consistently at the order.  Series
+division inverts an `int` or `Fraction` constant term once; any other
+constant term divides each coefficient through the coefficient's own `/`,
+which over Q[x] is exact division.
 
 The closed-form generating functions of the run polynomials live here.  The
-two that need sqrt(1-x^2), T and Carlitz's EGF, are each one quotient over
-Z[x][rho] whose denominator has a constant term with no rho part; that every
-quotient divides exactly and every rho part cancels is asserted
-(ExtensionResidue), never assumed.
+two written with rho = sqrt(1-x^2), T and Carlitz's EGF, meet rho only
+through cosh and sinh (or cos and sin) of rho z.  `_even_odd` gives
+C = cosh(rho z) and S = sinh(rho z)/rho as series in rho^2 = 1 - x^2, so
+each closed form is one quotient over Q[x]; that it divides exactly is
+asserted (NotDivisible), never assumed.
 `egf_R` is R(x,z;q) = T(x,z)^q = exp(q log T) over Q[x,q] (rows in Z[x,q]),
 so the q-identities are checked symbolically in q rather than at sample
 values, and the F-dual identity is one exact polynomial identity per n.
@@ -42,8 +42,8 @@ from typing import Sequence
 
 from . import families
 from .families import _XQ, _XYQ
-from .errors import BadConstantTerm, ExtensionResidue, NonInvertibleConstantTerm, NotDivisible
-from .fieldext import QuadExt, RatFunc, RhoPoly
+from .errors import BadConstantTerm, NonInvertibleConstantTerm, NotDivisible
+from .fieldext import QuadExt, RatFunc
 from .gammalab import SemiGammaForm
 from .multipoly import MultiPoly
 from .polys import ExactRing, Poly, Scalar, as_fraction, exact
@@ -156,10 +156,10 @@ class Series(ExactRing):
         """c_n = (a_n - sum_(k<n) C(n, k) c_k b_(n-k)) / b_0.
 
         An `int` or `Fraction` b_0 is inverted once.  Any other b_0 divides
-        each c_n through the coefficient's own `/`: over `Poly` and
-        `RhoPoly` that is exact division in Q[x], and a NotDivisible there
-        names n.  A b_0 that its ring cannot divide by (zero, or a
-        `RhoPoly` with a rho part) raises NonInvertibleConstantTerm.
+        each c_n through the coefficient's own `/`: over `Poly` that is
+        exact division in Q[x], and a NotDivisible there names n.  A b_0
+        that its ring cannot divide by, such as zero, raises
+        NonInvertibleConstantTerm.
         """
         other = self._coerce(other)
         b = other.egf
@@ -278,6 +278,8 @@ class Series(ExactRing):
 
 def exp_cz(c, order: int) -> Series:
     """The series exp(c z): its EGF coefficients are the powers c^n."""
+    if order < 0:
+        raise ValueError(f"truncation order {order} is negative")
     out = []
     power = c * 0 + 1
     for _ in range(order + 1):
@@ -286,69 +288,71 @@ def exp_cz(c, order: int) -> Series:
     return Series(tuple(out), order)
 
 
+def _even_odd(w, order: int) -> tuple[Series, Series]:
+    """C = cosh(sqrt(w) z) and S = sinh(sqrt(w) z)/sqrt(w), with no sqrt(w).
+
+    Their EGF coefficients are the powers w^k: C's at n = 2k and S's at
+    n = 2k+1, with zero elsewhere.  At w = 1 - x^2:
+
+    >>> c, s = _even_odd(Poly([1, 0, -1]), 4)
+    >>> [str(p) for p in c.egf]
+    ['1', '0', '1 - x^2', '0', '1 - 2*x^2 + x^4']
+    >>> [str(p) for p in s.egf]
+    ['0', '1', '0', '1 - x^2', '0']
+    """
+    if order < 0:
+        raise ValueError(f"truncation order {order} is negative")
+    zero = w * 0
+    powers = exp_cz(w, order // 2).egf
+    even = [zero if n % 2 else powers[n // 2] for n in range(order + 1)]
+    odd = [powers[n // 2] if n % 2 else zero for n in range(order + 1)]
+    return Series(tuple(even), order), Series(tuple(odd), order)
+
+
 def sin_cz(c, order: int) -> Series:
-    """sin(c z): the odd terms of exp(c z), signed by (-1)^(n//2)."""
-    return _signed_terms(exp_cz(c, order), 1)
+    """sin(c z): c S, with S from `_even_odd` at w = -c^2."""
+    return _even_odd(-c * c, order)[1] * c
 
 
 def cos_cz(c, order: int) -> Series:
-    """cos(c z): the even terms of exp(c z), signed by (-1)^(n//2)."""
-    return _signed_terms(exp_cz(c, order), 0)
-
-
-def _signed_terms(series: Series, parity: int) -> Series:
-    zero = series.egf[0] * 0
-    return Series(
-        tuple(
-            (-a if n // 2 % 2 else a) if n % 2 == parity else zero
-            for n, a in enumerate(series.egf)
-        ),
-        series.order,
-    )
+    """cos(c z): C, from `_even_odd` at w = -c^2."""
+    return _even_odd(-c * c, order)[0]
 
 
 # ---------------------------------------------------------------------------
 # closed-form generating functions
 # ---------------------------------------------------------------------------
 
-def _rho_free_quotient(name: str, num: Series, den: Series) -> Series:
-    """num / den over `RhoPoly`, whose coefficients must all lie in Q[x].
-
-    A quotient that does not divide exactly, or a coefficient that keeps a
-    rho part, raises ExtensionResidue naming `name` and the coefficient n.
-    """
-    try:
-        quot = num / den
-    except NotDivisible as exc:
-        raise ExtensionResidue(f"{name}: {exc}") from exc
-    for n, c in enumerate(quot.egf):
-        if c.rad:
-            raise ExtensionResidue(f"{name}: rho survives in coefficient {n}")
-    return Series(tuple(c.base for c in quot.egf), quot.order)
-
 
 @lru_cache(maxsize=None)
 def egf_T(order: int) -> Series:
-    """Up-down-run EGF, from its closed form N/D over Z[x][rho], rho^2 = 1 - x^2;
-    n! times coefficient n is the T-row polynomial.  D at z = 0 is 2(1 - x^2)."""
-    x = RhoPoly(Poly.x())
-    rho = RhoPoly(0, 1)
-    e1 = exp_cz(rho, order)
-    e2 = exp_cz(rho * 2, order)
-    num = (1 - x) * (1 + rho + (2 * x) * e1 + (1 - rho) * e2)
-    den = (1 + rho - x * x) + (1 - rho - x * x) * e2
-    return _rho_free_quotient("egf_T", num, den)
+    """Up-down-run EGF; n! times coefficient n is the T-row polynomial.
+
+    In rho = sqrt(1-x^2) it is (1-x)(1 + rho + 2x E + (1-rho) E^2) /
+    ((1 + rho - x^2) + (1 - rho - x^2) E^2) with E = exp(rho z).  Times
+    1/E above and below, with rho sinh(rho z) = (1-x^2) S, that is
+    (x + C - (1-x^2) S) / ((1+x)(C - S)) at w = 1 - x^2, whose denominator
+    at z = 0 is 1 + x.
+    """
+    x = Poly.x()
+    w = 1 - x * x
+    c, s = _even_odd(w, order)
+    return (c + x - s * w) / ((c - s) * (1 + x))
 
 
 def egf_carlitz(order: int) -> Series:
-    """Carlitz EGF (1-x)(rho + sin rho z)^2 / ((1+x)(x - cos rho z)^2), one
-    quotient over Z[x][rho] whose denominator at z = 0 is (1+x)(1-x)^2; n!
-    times coefficient n is sum_k R(n+1,k) x^(n-k)."""
-    x = RhoPoly(Poly.x())
-    rho = RhoPoly(0, 1)
-    top = rho + sin_cz(rho, order)
-    bottom = x - cos_cz(rho, order)
-    return _rho_free_quotient("egf_carlitz", (1 - x) * top * top, (1 + x) * bottom * bottom)
+    """Carlitz EGF (1-x)(rho + sin rho z)^2 / ((1+x)(x - cos rho z)^2); n!
+    times coefficient n is sum_k R(n+1,k) x^(n-k).
+
+    With (rho + sin rho z)^2 = (1 - x^2)(1 + S)^2 it is
+    ((1-x)(1+S))^2 / (x - C)^2 at w = x^2 - 1, whose denominator at z = 0
+    is (1-x)^2.
+    """
+    x = Poly.x()
+    c, s = _even_odd(x * x - 1, order)
+    top = (s + 1) * (1 - x)
+    bottom = c - x
+    return (top * top) / (bottom * bottom)
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from altrun.errors import NotDivisible, SupportOutOfRange, ZeroPolynomial
 from altrun.families import triangle
-from altrun.fieldext import QuadExt, RatFunc, RhoPoly
+from altrun.fieldext import QuadExt, RatFunc
 from altrun.multipoly import MultiPoly
 from altrun.polys import (
     Poly,
@@ -102,7 +102,6 @@ EXACT_PAIRS = {
         QuadExt(RatFunc.x(), 1, _DISC),
         QuadExt(1, RatFunc(Poly([0, 2]), Poly([3, 1])), _DISC),
     ),
-    "RhoPoly": (RhoPoly(Poly([1, 2]), 1), RhoPoly(Fraction(1, 3), Poly([0, -1]))),
     "Series": (
         Series.make([Fraction(1), Fraction(2)], 4),
         Series.make([Fraction(0), Fraction(1, 3), Fraction(-1)], 4),

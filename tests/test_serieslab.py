@@ -10,14 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from altrun import families, serieslab as sl, verify
 from altrun.cli import main
-from altrun.errors import (
-    BadConstantTerm,
-    ExtensionResidue,
-    NonInvertibleConstantTerm,
-    NotDivisible,
-)
+from altrun.errors import BadConstantTerm, NonInvertibleConstantTerm, NotDivisible
 from altrun.families import PolySeq, Triangle, polyseq, q_specialize, triangle
-from altrun.fieldext import QuadExt, RatFunc, RhoPoly
+from altrun.fieldext import QuadExt, RatFunc
 from altrun.polys import Poly
 
 F = Fraction
@@ -64,25 +59,6 @@ def test_zero_constant_term_over_quadratic_extension():
         numerator / sl.Series.make([zero, rho], 1)
     with pytest.raises(NonInvertibleConstantTerm):
         1 / sl.Series.make([zero, zero + 1], 1)
-
-
-def test_zero_or_rho_constant_term_over_rho_poly():
-    rho, x = RhoPoly(0, 1), RhoPoly(Poly.x())
-    numerator = sl.Series.make([1 + x, rho], 1)
-    for b0 in (rho * 0, rho, 1 + rho):
-        with pytest.raises(NonInvertibleConstantTerm):
-            numerator / sl.Series.make([b0, x], 1)
-    with pytest.raises(NonInvertibleConstantTerm):
-        1 / sl.Series.make([rho * 0, rho], 1)
-
-
-def test_series_division_over_rho_poly_is_exact_and_names_n():
-    rho, x = RhoPoly(0, 1), RhoPoly(Poly.x())
-    den = sl.Series.make([1 - x * x, rho * x, x], 2)
-    quot = sl.Series.make([1 + x, rho, x * x], 2)
-    assert (quot * den) / den == quot
-    with pytest.raises(NotDivisible, match="coefficient 1: "):
-        sl.Series.make([1 + x, 1 + 0 * rho], 1) / sl.Series.make([1 + x, 0 * rho], 1)
 
 
 def test_series_division_over_poly_is_exact_and_names_n():
@@ -360,22 +336,21 @@ def test_theta_check_rejects_a_mutant(monkeypatch, name, mutant):
     assert sl.theta_check(10) is not None
 
 
-def test_extension_residue_guard():
-    rho, x = RhoPoly(0, 1), RhoPoly(Poly.x())
-    one = sl.Series.make([rho * 0 + 1], 2)
-    polluted = sl.Series.make([1 + x, x, rho], 2)
-    with pytest.raises(ExtensionResidue, match="^test: rho survives in coefficient 2$"):
-        sl._rho_free_quotient("test", polluted, one)
-    outside = sl.Series.make([1 + x, 1 + 0 * rho], 1)
-    with pytest.raises(ExtensionResidue, match="^test: coefficient 1: remainder"):
-        sl._rho_free_quotient("test", outside, sl.Series.make([1 + x, 0 * rho], 1))
-    clean = sl.Series.make([1 + x, 0 * rho, x], 2)
-    assert sl._rho_free_quotient("test", clean, one).egf == (Poly([1, 1]), 0, Poly([0, 2]))
-
-
 # The closed forms of T and Carlitz's EGF as they were computed over the field
 # Q(x)[rho]: every RatFunc operation gcd-reduced, and every rho part asserted
-# to cancel at the end.  An independent route to the same rows.
+# to cancel at the end.  An independent route to the same rows; its sin and
+# cos are the signed odd and even terms of exp(rho z).
+
+
+def _signed_terms(series, parity):
+    zero = series.egf[0] * 0
+    return sl.Series(
+        tuple(
+            (-a if n // 2 % 2 else a) if n % 2 == parity else zero
+            for n, a in enumerate(series.egf)
+        ),
+        series.order,
+    )
 
 
 def _field_rows(series):
@@ -396,15 +371,43 @@ def _field_egf_T(order):
 def _field_egf_carlitz(order):
     x = QuadExt(RatFunc.x(), 0, _DISC_RHO)
     rho = QuadExt.radical(_DISC_RHO)
-    quot = (rho + sl.sin_cz(rho, order)) / (x - sl.cos_cz(rho, order))
+    e = sl.exp_cz(rho, order)
+    quot = (rho + _signed_terms(e, 1)) / (x - _signed_terms(e, 0))
     ratio = (1 - x) / (1 + x)
     return _field_rows(ratio * quot * quot)
 
 
-@pytest.mark.parametrize("order", range(13))
+@pytest.mark.parametrize("order", [*range(13), 18, 24])
 def test_closed_forms_equal_the_field_route(order):
     assert sl.egf_T(order) == _field_egf_T(order)
     assert sl.egf_carlitz(order) == _field_egf_carlitz(order)
+
+
+@pytest.mark.parametrize("w", [Poly([1, 0, -1]), Poly([-1, 0, 1])])
+def test_even_odd_parts_satisfy_cosh_squared_minus_sinh_squared(w):
+    c, s = sl._even_odd(w, 18)
+    assert c * c - s * s * w == sl.Series.make([Poly.one()], 18)
+
+
+@pytest.mark.parametrize("c", [1, -1, 2, F(1, 2), Poly.x()])
+def test_sin_and_cos_are_the_signed_terms_of_exp(c):
+    e = sl.exp_cz(c, 9)
+    assert sl.sin_cz(c, 9) == _signed_terms(e, 1)
+    assert sl.cos_cz(c, 9) == _signed_terms(e, 0)
+
+
+# The arguments before `order` of each series builder.
+_LEADING_ARGS = {
+    "exp_cz": (1,), "_even_odd": (Poly.x(),), "sin_cz": (1,), "cos_cz": (1,),
+    "egf_T": (), "egf_carlitz": (), "egf_R": (), "egf_Rq": (2,), "egf_f": (),
+    "egf_derangement": (),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LEADING_ARGS))
+def test_a_negative_order_is_a_value_error(name):
+    with pytest.raises(ValueError, match="^truncation order -1 is negative$"):
+        getattr(sl, name)(*_LEADING_ARGS[name], -1)
 
 
 @pytest.mark.parametrize("order", [-1, 0, 1, 2])
@@ -417,29 +420,26 @@ def test_series_suite_at_small_orders_is_unchanged(order):
     assert buf.getvalue().encode("utf-8") == stored.read_bytes()
 
 
-# Closed-form mutants: each must fail its check, through the exact-division
-# and rho guards or by a mismatch with the triangle rows.
+# Closed-form mutants: each must fail its check, through exact division
+# over Q[x] or by a mismatch with the triangle rows.
 
 
-def _mutant_T(numerator_x=2, den_rho=1, e1_rho=1):
+def _mutant_T(numerator_x=1, den_sign=-1, w=Poly([1, 0, -1])):
     def egf_T(order):
-        x, rho = RhoPoly(Poly.x()), RhoPoly(0, 1)
-        e1 = sl.exp_cz(rho * e1_rho, order)
-        e2 = sl.exp_cz(rho * 2, order)
-        num = (1 - x) * (1 + rho + (numerator_x * x) * e1 + (1 - rho) * e2)
-        den = (1 + den_rho * rho - x * x) + (1 - rho - x * x) * e2
-        return sl._rho_free_quotient("egf_T", num, den)
+        x = Poly.x()
+        c, s = sl._even_odd(w, order)
+        return (c + numerator_x * x - s * (1 - x * x)) / ((c + den_sign * s) * (1 + x))
 
     return egf_T
 
 
-def _mutant_carlitz(num_factor=-1, extra=0):
+def _mutant_carlitz(factor=Poly([1, -1]), extra=Poly()):
     def egf_carlitz(order):
-        x, rho = RhoPoly(Poly.x()), RhoPoly(0, 1)
-        top = rho + sl.sin_cz(rho, order)
-        bottom = x - sl.cos_cz(rho, order)
-        den = (1 + x) * bottom * bottom * sl.exp_cz(RhoPoly(extra), order)
-        return sl._rho_free_quotient("egf_carlitz", (1 + num_factor * x) * top * top, den)
+        x = Poly.x()
+        c, s = sl._even_odd(x * x - 1, order)
+        top = (s + 1) * factor
+        bottom = c - x
+        return (top * top) / (bottom * bottom * sl.exp_cz(extra, order))
 
     return egf_carlitz
 
@@ -450,18 +450,17 @@ _X4 = Poly([0, 0, 0, 0, 1])
 @pytest.mark.parametrize(
     "name, mutant, check_id, detail",
     [
-        # N with 2x*E -> 3x*E: N at z = 0 is (1-x)(2+3x), not a multiple of 2(1-x^2)
-        ("egf_T", _mutant_T(numerator_x=3), "series/egf-T",
-         "ExtensionResidue: egf_T: coefficient 0: remainder"),
-        # E = exp(rho z) -> exp(-rho z): right at z = 0, inexact from n = 1
-        ("egf_T", _mutant_T(e1_rho=-1), "series/egf-T",
-         "ExtensionResidue: egf_T: coefficient 1: remainder"),
-        # D with 1+rho -> 1-rho: D at z = 0 is 2 - 2x^2 - 2 rho
-        ("egf_T", _mutant_T(den_rho=-1), "series/egf-T",
-         "NonInvertibleConstantTerm: constant term (2 - 2*x^2) + (-2)*rho is not invertible"),
-        # Carlitz with (1-x) -> (1+x): (1+x)/(1-x) at z = 0
-        ("egf_carlitz", _mutant_carlitz(num_factor=1), "series/egf-carlitz",
-         "ExtensionResidue: egf_carlitz: coefficient 0: remainder"),
+        # x -> 2x in the numerator: 1 + 2x at z = 0, not a multiple of 1 + x
+        ("egf_T", _mutant_T(numerator_x=2), "series/egf-T",
+         "NotDivisible: coefficient 0: remainder -1 dividing 1 + 2*x by 1 + x"),
+        # C - S -> C + S in the denominator: divides, and is wrong from n = 1
+        ("egf_T", _mutant_T(den_sign=1), "series/egf-T", "mismatch at n=1: -2 + x vs x"),
+        # C and S at w = 1 + x^2 in place of 1 - x^2: inexact from n = 2
+        ("egf_T", _mutant_T(w=Poly([1, 0, 1])), "series/egf-T",
+         "NotDivisible: coefficient 2: remainder 2 dividing x + 2*x^2 - x^3 by 1 + x"),
+        # Carlitz with (1-x) -> (1+x): (1+x)^2/(1-x)^2 at z = 0
+        ("egf_carlitz", _mutant_carlitz(factor=Poly([1, 1])), "series/egf-carlitz",
+         "NotDivisible: coefficient 0: remainder 4*x dividing 1 + 2*x + x^2 by 1 - 2*x + x^2"),
         # an extra factor exp(x^4 z) in the denominator divides, and is wrong
         ("egf_carlitz", _mutant_carlitz(extra=_X4), "series/egf-carlitz",
          "mismatch at n=1: 2 - x^4 vs 2"),
