@@ -34,10 +34,12 @@ Statistics are plain functions on tuples; `stat` dispatches by class name and
 distributions are the brute-force oracle for the recurrence triangles.  A
 statistic f is local when f(p + t) = f(p) + f(p[-2:] + t) - f(p[-2:]) for
 every prefix p of length at least 2: altrun, udrun, des, des_B, altrun_B, ap,
-la and fap are.  A tuple of local statistics is folded through its class's
-walk (`_local_fold`): what the completions of a state add to each f depends
-only on the state and the last two letters written, so it is counted once
-per such pair, from its children, and no word is built.
+la and fap are, and so is as, the longest alternating subsequence, which is
+udrun (Stanley, Michigan Math. J. 57 (2008)).  A tuple of local statistics is
+folded through its class's walk (`_local_fold`): what the completions of a
+state add to each f depends only on the state and the last two letters
+written, so it is counted once per such pair, from its children, and no word
+is built.
 
 A tuple of the cycle statistics `crun` and `cyc`, in any order, on the
 classes of `_SHORTEST` (`perm` and `derangement`), is folded through a
@@ -360,28 +362,6 @@ def descents(word: Sequence[int]) -> int:
     return sum(map(gt, word, word[1:]))
 
 
-def longest_alternating_subsequence(word: Sequence[int]) -> int:
-    """Length of the longest subsequence shaped a1 > a2 < a3 > ...
-
-    Quadratic DP: track the best subsequence ending at each position whose
-    last comparison was a descent / an ascent.
-    """
-    n = len(word)
-    if n == 0:
-        return 0
-    down = [0] * n  # last step was a descent (length >= 2)
-    up = [0] * n  # last step was an ascent; only valid after a descent
-    best = 1
-    for j in range(n):
-        for i in range(j):
-            if word[i] > word[j]:
-                down[j] = max(down[j], max(up[i], 1) + 1)
-            elif word[i] < word[j] and down[i]:
-                up[j] = max(up[j], down[i] + 1)
-        best = max(best, down[j], up[j])
-    return best
-
-
 def descents_type_b(word: Sequence[int]) -> int:
     """Type B descents of a signed word, counting position 0 against 0."""
     return descents((0, *word))
@@ -639,7 +619,11 @@ _PERM_STATS = {
     "altrun": altrun,
     "udrun": udrun,
     "des": descents,
-    "as": longest_alternating_subsequence,
+    # The longest alternating subsequence a1 > a2 < a3 > ... is udrun: 0 is
+    # the least letter, so a longest a1 > a2 < ... of w plus the leading 0 is
+    # a longest alternating subsequence of (0, w) that starts with an ascent,
+    # and that has runs(0, w) + 1 letters.
+    "as": udrun,
     "crun": crun,
     "cyc": cycle_count,
     "fix": fixed_points,

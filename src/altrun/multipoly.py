@@ -16,7 +16,7 @@ from operator import add
 from typing import Iterable, Mapping
 
 from .errors import UnknownSymbol
-from .polys import ExactRing, Poly, Scalar, exact, power
+from .polys import ExactRing, Poly, Scalar, exact, join_terms, power
 
 
 class MultiPoly(ExactRing):
@@ -168,6 +168,17 @@ class MultiPoly(ExactRing):
                 out[exps[:slot] + (e - 1,) + exps[slot + 1 :]] = c * e
         return MultiPoly._made(self.alphabet, out)
 
+    def negated(self, name: str) -> MultiPoly:
+        """The polynomial with the letter `name` replaced by its negative.
+
+        >>> str(MultiPoly(("x", "q"), {(1, 0): 1, (2, 1): 3}).negated("x"))
+        '-x + 3*x^2*q'
+        """
+        slot = self._slot(name)
+        return MultiPoly._made(
+            self.alphabet, {e: -c if e[slot] % 2 else c for e, c in self.terms.items()}
+        )
+
     def substitute(
         self,
         images: Mapping[str, "MultiPoly | Scalar"],
@@ -256,28 +267,10 @@ class MultiPoly(ExactRing):
         return hash((self.alphabet, frozenset(self.terms.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for exps, c in self.sorted_terms():
-            factors = []
-            for letter, e in zip(self.alphabet, exps):
-                if e == 1:
-                    factors.append(letter)
-                elif e > 1:
-                    factors.append(f"{letter}^{e}")
-            mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return join_terms(
+            (c, "*".join(a if e == 1 else f"{a}^{e}" for a, e in zip(self.alphabet, exps) if e))
+            for exps, c in self.sorted_terms()
+        )
 
     def __repr__(self) -> str:
         return f"MultiPoly({str(self)!r}, alphabet={self.alphabet!r})"

@@ -344,26 +344,33 @@ class Poly(ExactRing):
         return hash(self.coeffs)
 
     def to_str(self, var: str = "x") -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                xpart = var if k == 1 else f"{var}^{k}"
-                body = xpart if mag == 1 else f"{mag}*{xpart}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return join_terms(
+            (c, "" if k == 0 else var if k == 1 else f"{var}^{k}")
+            for k, c in enumerate(self.coeffs) if c
+        )
 
     def __repr__(self) -> str:
         return f"Poly({self.to_str()!r})"
+
+
+def join_terms(terms: Iterable[tuple[Scalar, str]]) -> str:
+    """Display a sum from (nonzero coefficient, monomial text) pairs, in order.
+
+    An empty monomial is the constant term, and a coefficient of magnitude 1
+    is left off any other.  The empty sum is "0".
+
+    >>> join_terms([(-1, ""), (Fraction(1, 2), "x"), (-1, "x*q^2")])
+    '-1 + 1/2*x - x*q^2'
+    """
+    parts: list[str] = []
+    for c, monomial in terms:
+        mag = abs(c)
+        body = str(mag) if not monomial else monomial if mag == 1 else f"{mag}*{monomial}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
 def divide_exact(p: Poly, d: Poly) -> Poly:

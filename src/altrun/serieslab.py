@@ -2,14 +2,18 @@
 
 A Series stores the EGF coefficients egf[n] = n! [z^n] for n = 0..order
 and computes with their own exact arithmetic.  The rings used are Q
-(`int`/`Fraction`), Q[x] (`Poly`) and Q[x,y] (`MultiPoly`).  Products,
-quotients, `exp`, `log` and `sqrt` are binomial convolutions of the stored
-values, so a series with integer EGF coefficients (T, Carlitz, T^q for
-integer q, the derangement EGF) is computed in integers throughout, with no
-1/n! anywhere.  All operations truncate consistently at the order.  Series
-division inverts an `int` or `Fraction` constant term once; any other
-constant term divides each coefficient through the coefficient's own `/`,
-which over Q[x] is exact division.
+(`int`/`Fraction`), Q[x] (`Poly`) and Q[x,y] (`MultiPoly`).  Three
+operations are binomial convolutions of the stored values: the product, the
+quotient and `exp`.  The rest are built from them: `log` S is the integral
+of S'/S (both a shift of the stored values), `pow_rational` is
+exp(q log S), `sqrt` is the power 1/2, and `scale_z` multiplies by the
+values of exp(cz).  So a series with integer EGF coefficients (T, Carlitz,
+T^q for integer q, the derangement EGF) is computed in integers throughout,
+with no 1/n! anywhere.  All operations truncate consistently at the order,
+which must be nonnegative.  Series division by a constant term equal to 1
+divides by nothing; any other `int` or `Fraction` constant term is inverted
+once, and any other constant term divides each coefficient through the
+coefficient's own `/`, which over Q[x] is exact division.
 
 The closed-form generating functions of the run polynomials live here.  The
 two written with rho = sqrt(1-x^2), T and Carlitz's EGF, meet rho only
@@ -38,6 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import mul
 from typing import Sequence
 
 from . import families
@@ -66,8 +71,9 @@ class Series(ExactRing):
     """Truncated exponential generating function: egf[n] = n! [z^n], n <= order.
 
     The stored values carry their own arithmetic; zero is `egf[0] * 0` and
-    one is that zero plus 1, derived once per operation.  Every operation is
-    a binomial convolution, so integer EGF coefficients stay integers:
+    one is that zero plus 1, derived once per operation.  The product, the
+    quotient and `exp` are binomial convolutions, and every other operation
+    is built from them, so integer EGF coefficients stay integers:
 
     >>> s = exp_cz(1, 3)
     >>> s.egf == (1, 1, 1, 1)
@@ -75,9 +81,10 @@ class Series(ExactRing):
     >>> [str(c) for c in s.coeffs]
     ['1', '1', '1/2', '1/6']
 
-    Division needs a constant term its ring can divide by: an `int` or
-    `Fraction` is inverted once, and any other constant term divides each
-    coefficient exactly, through the coefficient's own `/`.
+    Division needs a constant term its ring can divide by: 1 divides by
+    nothing, any other `int` or `Fraction` is inverted once, and any other
+    constant term divides each coefficient exactly, through the
+    coefficient's own `/`.  A negative order raises ValueError.
 
     Like every `ExactRing` type, a Series is immutable: `egf` and `order`
     live in `__slots__`, are set once in `__init__` through
@@ -87,6 +94,8 @@ class Series(ExactRing):
     __slots__ = ("egf", "order")
 
     def __init__(self, egf: tuple, order: int):
+        if order < 0:
+            raise ValueError(f"truncation order {order} is negative")
         object.__setattr__(self, "egf", egf)
         object.__setattr__(self, "order", order)
 
@@ -155,11 +164,11 @@ class Series(ExactRing):
     def __truediv__(self, other) -> Series:
         """c_n = (a_n - sum_(k<n) C(n, k) c_k b_(n-k)) / b_0.
 
-        An `int` or `Fraction` b_0 is inverted once.  Any other b_0 divides
-        each c_n through the coefficient's own `/`: over `Poly` that is
-        exact division in Q[x], and a NotDivisible there names n.  A b_0
-        that its ring cannot divide by, such as zero, raises
-        NonInvertibleConstantTerm.
+        A b_0 equal to 1, in any ring, divides by nothing.  Any other `int`
+        or `Fraction` b_0 is inverted once, and any other b_0 divides each
+        c_n through the coefficient's own `/`: over `Poly` that is exact
+        division in Q[x], and a NotDivisible there names n.  A b_0 that its
+        ring cannot divide by, such as zero, raises NonInvertibleConstantTerm.
         """
         other = self._coerce(other)
         b = other.egf
@@ -167,9 +176,11 @@ class Series(ExactRing):
         support = [j for j in other._support() if j]
         out = []
         try:
-            if isinstance(b0, (int, Fraction)):
+            if b0 == 1:
+                divide = lambda c: c  # noqa: E731
+            elif isinstance(b0, (int, Fraction)):
                 inv0 = Fraction(1) / b0
-                divide = (lambda c: c) if inv0 == 1 else (lambda c: c * inv0)
+                divide = lambda c: c * inv0  # noqa: E731
             else:
                 divide = lambda c: c / b0  # noqa: E731
             for n, row in enumerate(_pascal(self.order)):
@@ -205,59 +216,30 @@ class Series(ExactRing):
         return Series(tuple(out), self.order)
 
     def log(self) -> Series:
-        """log of a series with constant term 1: S L' = S', so
-        l_n = s_n - sum_(j<=n-2) C(n-1, j) l_(j+1) s_(n-1-j)."""
+        """log of a series with constant term 1, as the integral of S'/S.
+
+        In EGF values S' is `egf` shifted down one place and the integral
+        shifts back up behind a 0.  The padded last value of S' reaches only
+        the last value of the quotient, which that shift drops.
+        """
         s = self.egf
         zero = s[0] * 0
         if s[0] != zero + 1:
             raise BadConstantTerm("log needs constant term 1")
-        pascal = _pascal(self.order)
-        out = [zero]
-        for n in range(1, self.order + 1):
-            row = pascal[n - 1]
-            acc = s[n]
-            for i in range(1, n):
-                acc = acc - out[n - i] * s[i] * row[i]
-            out.append(acc)
-        return Series(tuple(out), self.order)
+        quotient = Series(s[1:] + (zero,), self.order) / self
+        return Series((zero,) + quotient.egf[:-1], self.order)
 
     def sqrt(self) -> Series:
-        """Square root of a series with constant term 1.
-
-        s_n = sum_k C(n, k) r_k r_(n-k) pairs the terms k and n-k, and
-        C(2m, m) = 2 C(2m-1, m-1), so r_n = s_n / 2 - sum_(0<k<n/2) C(n, k)
-        r_k r_(n-k) - [n = 2m] C(2m-1, m-1) r_m^2.
-        """
-        s = self.egf
-        one = s[0] * 0 + 1
-        if s[0] != one:
-            raise BadConstantTerm("sqrt needs constant term 1")
-        pascal = _pascal(self.order)
-        out = [one]
-        for n in range(1, self.order + 1):
-            row = pascal[n]
-            acc = s[n] * _HALF
-            for k in range(1, (n + 1) // 2):
-                acc = acc - out[k] * out[n - k] * row[k]
-            if n % 2 == 0:
-                m = n // 2
-                acc = acc - out[m] * out[m] * pascal[n - 1][m - 1]
-            out.append(acc)
-        return Series(tuple(out), self.order)
+        """Square root of a series with constant term 1: S^(1/2)."""
+        return self.pow_rational(_HALF)
 
     def pow_rational(self, exponent: Scalar) -> Series:
         """S^q = exp(q log S) for rational q; needs constant term 1."""
-        q = as_fraction(exponent)
-        return (self.log() * q).exp()
+        return (self.log() * as_fraction(exponent)).exp()
 
     def scale_z(self, factor) -> Series:
-        """Substitute factor*z for z."""
-        out = []
-        power = self.egf[0] * 0 + 1
-        for c in self.egf:
-            out.append(c * power)
-            power = power * factor
-        return Series(tuple(out), self.order)
+        """Substitute factor*z for z: egf[n] times factor^n."""
+        return Series(tuple(map(mul, self.egf, exp_cz(factor, self.order).egf)), self.order)
 
     # -- comparison / hashing / display ----------------------------------------
 
@@ -278,8 +260,6 @@ class Series(ExactRing):
 
 def exp_cz(c, order: int) -> Series:
     """The series exp(c z): its EGF coefficients are the powers c^n."""
-    if order < 0:
-        raise ValueError(f"truncation order {order} is negative")
     out = []
     power = c * 0 + 1
     for _ in range(order + 1):
@@ -300,10 +280,9 @@ def _even_odd(w, order: int) -> tuple[Series, Series]:
     >>> [str(p) for p in s.egf]
     ['0', '1', '0', '1 - x^2', '0']
     """
-    if order < 0:
-        raise ValueError(f"truncation order {order} is negative")
     zero = w * 0
-    powers = exp_cz(w, order // 2).egf
+    # A negative order builds no powers and fails in `Series`, naming itself.
+    powers = exp_cz(w, max(order, 0) // 2).egf
     even = [zero if n % 2 else powers[n // 2] for n in range(order + 1)]
     odd = [powers[n // 2] if n % 2 else zero for n in range(order + 1)]
     return Series(tuple(even), order), Series(tuple(odd), order)
@@ -432,15 +411,10 @@ def check_derangement_egf(order: int) -> tuple[tuple, tuple]:
     return _sides(egf_derangement(order), families.polyseq("dpoly", order).poly)
 
 
-def _negated(row: MultiPoly, slot: int) -> MultiPoly:
-    """`row` with the letter in `slot` replaced by its negative."""
-    return MultiPoly(row.alphabet, {e: -c if e[slot] % 2 else c for e, c in row.terms.items()})
-
-
 def check_parity_symmetry(order: int) -> tuple[tuple, tuple]:
     """Coefficientwise R(x, z; -q) = R(-x, z; q), as polynomials in (x, q)."""
     rows = egf_R(order).egf
-    return tuple(_negated(row, 1) for row in rows), tuple(_negated(row, 0) for row in rows)
+    return tuple(row.negated("q") for row in rows), tuple(row.negated("x") for row in rows)
 
 
 def check_inclusion_exclusion(order: int) -> tuple[tuple, tuple]:

@@ -368,11 +368,9 @@ def check_Rq_parity(hi: int):
     tri = families.triangle("Rq", hi)
     for n in range(hi + 1):
         row = tri.row_multipoly(n)
-        alphabet = row.alphabet
-        neg_x = {"x": -MultiPoly.variable(alphabet, "x")}
-        neg_q = row.substitute({"q": -MultiPoly.variable(alphabet, "q")}, alphabet)
-        yield n, neg_q, row.substitute(neg_x, alphabet)
-        yield n, neg_q.substitute(neg_x, alphabet), row
+        neg_q = row.negated("q")
+        yield n, neg_q, row.negated("x")
+        yield n, neg_q.negated("x"), row
 
 
 @_rows("triangles/d-at-minus-one", 1, 12, "d_n(-1) = -(n-1)")

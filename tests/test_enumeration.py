@@ -222,10 +222,31 @@ def test_dual_map_pair_positions():
                 assert all(v > 2 * j for v in img[lo + 1 : hi])
 
 
+def _longest_alternating_subsequence(word):
+    """Length of the longest subsequence shaped a1 > a2 < a3 > ..., by a
+    quadratic DP over the best one ending at each position whose last
+    comparison was a descent / an ascent."""
+    n = len(word)
+    if n == 0:
+        return 0
+    down = [0] * n  # last step was a descent (length >= 2)
+    up = [0] * n  # last step was an ascent; only valid after a descent
+    best = 1
+    for j in range(n):
+        for i in range(j):
+            if word[i] > word[j]:
+                down[j] = max(down[j], max(up[i], 1) + 1)
+            elif word[i] < word[j] and down[i]:
+                up[j] = max(up[j], down[i] + 1)
+        best = max(best, down[j], up[j])
+    return best
+
+
 def test_as_equals_udrun():
+    assert en.stat((), "as") == 0
     for n in range(1, 9):
         for word in en.generate("perm", n):
-            assert en.longest_alternating_subsequence(word) == en.udrun(word)
+            assert en.stat(word, "as") == _longest_alternating_subsequence(word)
 
 
 def test_signed_altrun_examples():
@@ -295,9 +316,9 @@ def test_local_fold_equals_the_word_fold(monkeypatch):
             tuples += 1
             calls += len(_sizes(kind, 6))
             assert _fold_mismatches(kind, _as_stats(names), _sizes(kind, 6)) == [], (kind, names)
-    # altrun, udrun, des on three classes: 3 alone, 6 pairs and (altrun,
-    # altrun); des_B, altrun_B on two: 2 and 2; ap, la, fap: 3 and 6
-    assert tuples == 3 * 10 + 2 * 4 + 9
+    # altrun, udrun, des, as on three classes: 4 alone, 12 pairs and
+    # (altrun, altrun); des_B, altrun_B on two: 2 and 2; ap, la, fap: 3 and 6
+    assert tuples == 3 * 17 + 2 * 4 + 9
     assert len(folded) == calls
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -404,10 +405,19 @@ _LEADING_ARGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_LEADING_ARGS))
+# Every builder of a series at `order`, with the arguments before it.
+_BUILDERS = {
+    **{name: partial(getattr(sl, name), *args) for name, args in _LEADING_ARGS.items()},
+    "Series": partial(sl.Series, ()),
+    "Series.make": partial(sl.Series.make, [1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDERS))
 def test_a_negative_order_is_a_value_error(name):
-    with pytest.raises(ValueError, match="^truncation order -1 is negative$"):
-        getattr(sl, name)(*_LEADING_ARGS[name], -1)
+    for order in (-1, -3):
+        with pytest.raises(ValueError, match=f"^truncation order {order} is negative$"):
+            _BUILDERS[name](order)
 
 
 @pytest.mark.parametrize("order", [-1, 0, 1, 2])
@@ -482,3 +492,38 @@ def test_closed_form_mutants_fail_their_check(monkeypatch, name, mutant, check_i
 def test_scale_z():
     s = make([1, 1, 1], order=2).scale_z(F(2))
     assert s.coeffs == (F(1), F(2), F(4))
+
+
+# log and sqrt at the edge of log's shift: order 0 keeps only the constant
+# term, and order 1 reads s_1 through the one quotient value that survives.
+
+
+@pytest.mark.parametrize("one", [1, F(1), Poly.one()])
+def test_log_and_sqrt_at_orders_0_and_1(one):
+    zero = one * 0
+    assert sl.Series((one,), 0).log() == sl.Series((zero,), 0)
+    assert sl.Series((one,), 0).sqrt() == sl.Series((one,), 0)
+    assert sl.Series((one, 6 * one), 1).log() == sl.Series((zero, 6 * one), 1)
+    assert sl.Series((one, 6 * one), 1).sqrt() == sl.Series((one, 3 * one), 1)
+
+
+def _recurrence_log(series):
+    """log S from S L' = S' on EGF values: l_n = s_n - sum_(0<i<n) C(n-1, i) l_(n-i) s_i."""
+    s = series.egf
+    out = [s[0] * 0]
+    for n in range(1, series.order + 1):
+        row = sl._pascal(series.order)[n - 1]
+        out.append(s[n] - sum((out[n - i] * s[i] * row[i] for i in range(1, n)), s[0] * 0))
+    return sl.Series(tuple(out), series.order)
+
+
+def _log_without_the_shift(series):
+    """S'/S, never integrated: a mutant of `Series.log`."""
+    zero = series.egf[0] * 0
+    return sl.Series(series.egf[1:] + (zero,), series.order) / series
+
+
+@pytest.mark.parametrize("log, agrees", [(sl.Series.log, True), (_log_without_the_shift, False)])
+def test_log_of_T_equals_the_log_recurrence(log, agrees):
+    T = sl.egf_T(12)
+    assert (log(T) == _recurrence_log(T)) is agrees
