@@ -46,8 +46,6 @@ in `int`s, each coefficient taken as its value at k = 0 plus ck*k.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from functools import partial
 from math import comb
@@ -441,13 +439,16 @@ def export_bfile(tri: Triangle) -> str:
 
 
 def export_csv(tri: Triangle) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "k", "value"])
+    """A "n,k,value" header and one line per entry, row-major.
+
+    No field needs CSV quoting: a value is an `int` or `Poly.to_str("q")`
+    text, which never holds a comma, a quote or a newline.
+    """
+    lines = ["n,k,value"]
     for n in range(tri.min_n, tri.max_n + 1):
         for k, entry in enumerate(tri.row(n)):
-            writer.writerow([n, k, entry_str(entry)])
-    return buf.getvalue()
+            lines.append(f"{n},{k},{entry_str(entry)}")
+    return "\n".join(lines) + "\n"
 
 
 def export_json(tri: Triangle) -> str:

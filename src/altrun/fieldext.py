@@ -2,17 +2,17 @@
 Q(x)[rho]/(rho^2 - D).
 
 RatFunc is kept in canonical form (gcd-reduced, monic denominator) so that
-equality is structural.  The reduction runs `polys.poly_gcd`, a primitive
-remainder sequence over Z[x] whose monic result is the unique gcd over Q[x],
-only when the denominator is not constant; negation and a nonzero scalar
-multiple keep the canonical form without one.  QuadExt represents
-base + rad*rho where rho^2 reduces to the carried discriminant; elements
-with different discriminants must never be mixed.  No check computes in
-this field any more: `serieslab.theta_check` reads r'/r once from
-`QuadExt.derivative` on r = sqrt((1+x)/(1-x)) and then steps theta^n r over
-Z[x], and the field route to theta^n r (`serieslab.theta_power_r`) is kept
-as a test oracle.  The closed forms of T and of Carlitz's EGF need no
-radical either: `serieslab` computes them over Q[x] from cosh/sinh parts.
+equality is structural.  Every RatFunc is built by `__init__`, which
+divides by `polys.poly_gcd` (the monic gcd over Q[x], by Euclid) and then
+makes the denominator monic; a scalar operand is lifted to a RatFunc like
+any other.  QuadExt represents base + rad*rho where rho^2 reduces to the
+carried discriminant; elements with different discriminants must never be
+mixed.  No check computes in this field any more: `serieslab.theta_check`
+reads r'/r once from `QuadExt.derivative` on r = sqrt((1+x)/(1-x)) and then
+steps theta^n r over Z[x], and the field route to theta^n r
+(`serieslab.theta_power_r`) is kept as a test oracle.  The closed forms of T
+and of Carlitz's EGF need no radical either: `serieslab` computes them over
+Q[x] from cosh/sinh parts.
 """
 
 from __future__ import annotations
@@ -31,28 +31,10 @@ class RatFunc(ExactRing):
         den = den if isinstance(den, Poly) else Poly.constant(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            num, den = Poly.zero(), Poly.one()
-        else:
-            if den.degree > 0:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = divide_exact(num, g)
-                    den = divide_exact(den, g)
-            lc = den.leading_coefficient()
-            if lc != 1:
-                num = num / lc
-                den = den / lc
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _canonical(cls, num: Poly, den: Poly) -> RatFunc:
-        """num/den as given, already gcd-reduced with a monic denominator."""
-        new = object.__new__(cls)
-        object.__setattr__(new, "num", num)
-        object.__setattr__(new, "den", den)
-        return new
+        # the monic gcd times lc(den) leaves a monic denominator
+        g = poly_gcd(num, den) * den.coeffs[-1]
+        object.__setattr__(self, "num", divide_exact(num, g))
+        object.__setattr__(self, "den", divide_exact(den, g))
 
     @classmethod
     def x(cls) -> RatFunc:
@@ -84,12 +66,9 @@ class RatFunc(ExactRing):
         )
 
     def __neg__(self) -> RatFunc:
-        return RatFunc._canonical(-self.num, self.den)
+        return RatFunc(-self.num, self.den)
 
     def __mul__(self, other) -> RatFunc:
-        if isinstance(other, (int, Fraction)) and other:
-            # a nonzero scalar keeps the canonical form
-            return RatFunc._canonical(self.num * other, self.den)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -188,8 +167,6 @@ class QuadExt(ExactRing):
         return QuadExt(-self.base, -self.rad, self.disc)
 
     def __mul__(self, other) -> QuadExt:
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(self.base * other, self.rad * other, self.disc)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

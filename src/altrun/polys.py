@@ -13,9 +13,8 @@ on `==`, `hash` and `str` for integral values, equality, hashing and printed
 forms do not depend on which of the two a coefficient happens to be.  True
 division (`Poly / scalar`, the `divmod` quotient) lifts to `Fraction` first,
 so no path yields a float; `Poly / Poly` is exact division (`divide_exact`).
-The hot kernel runs in `int`: `poly_gcd` clears denominators and runs a
-primitive remainder sequence over Z[x], dividing by a leading coefficient
-only once, to make the result monic.
+`poly_gcd` runs the Euclidean algorithm over Q[x] on `divmod`, making each
+divisor monic.
 `evaluate` runs Horner's rule and always returns a `Fraction`.
 
 The indeterminate is anonymous; `to_str` takes the display name (``x`` by
@@ -33,7 +32,6 @@ Fraction(0, 1)
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import NotDivisible, SupportOutOfRange, ZeroPolynomial
@@ -388,21 +386,12 @@ def divide_exact(p: Poly, d: Poly) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, by the primitive Euclidean algorithm.
+    """Monic greatest common divisor, by the Euclidean algorithm over Q[x].
 
-    Both operands are scaled to primitive integer polynomials, and each
-    pseudo-remainder is divided by its content (the gcd of its
-    coefficients) before it becomes the next divisor.  Pseudo-division
-    multiplies the dividend by the divisor's leading coefficient instead of
-    dividing by it, so every step stays in Z[x].  Those multipliers compound:
-    without the content division the coefficient lengths grow exponentially
-    in the number of steps.  With it, each remainder is, up to sign, the
-    primitive part of a subresultant of the inputs, whose coefficients are
-    determinants of input coefficients, so their lengths stay linear in the
-    degrees (Knuth, TAOCP 2, 4.6.1, Algorithm E).  Only the last nonzero
-    remainder is divided, once, by its leading coefficient.  The monic gcd
-    over Q[x] is unique, so the result is the one the Euclidean algorithm
-    over Q gives.
+    Each divisor is made monic before it divides, which keeps the
+    remainders' coefficients from growing by the divisors' leading
+    coefficients at every step.  The monic gcd is unique, so the result does
+    not depend on the order of the operands.
 
     >>> half, third = Fraction(1, 2), Fraction(1, 3)
     >>> str(poly_gcd(Poly([-half, 0, half]), Poly([third, third])))
@@ -410,53 +399,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     >>> str(poly_gcd(Poly([-4, 0, 1]), Poly([4, -2])))
     '-2 + x'
     """
-    a, b = _primitive(a.coeffs), _primitive(b.coeffs)
-    if len(a) < len(b):
-        a, b = b, a
     while b:
-        a, b = b, _primitive(_pseudo_remainder(a, b))
-    if not a:
-        return Poly()
-    return Poly(a) / a[-1]
-
-
-def _integral(coeffs) -> tuple[list[int], int]:
-    """The coefficients times the lcm of their denominators, and that lcm."""
-    scale = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (scale // c.denominator) for c in coeffs], scale
-
-
-def _primitive(coeffs) -> list[int]:
-    """The coefficients times the lcm of their denominators, over their gcd."""
-    ints = _integral(coeffs)[0]
-    content = gcd(*ints)
-    if content > 1:
-        ints = [c // content for c in ints]
-    return ints
-
-
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """A remainder of c*a by b over Z[x], for some nonzero integer c.
-
-    Each step scales the dividend by lc(b)/g and subtracts lead/g times the
-    shifted divisor, where g = gcd(lead, lc(b)), so the leading term
-    cancels without a division.
-    """
-    rem = list(a)
-    lb, db = b[-1], len(b) - 1
-    while len(rem) > db:
-        lead = rem.pop()
-        if lead == 0:
-            continue
-        g = gcd(lead, lb)
-        lead, mult = lead // g, lb // g
-        if mult != 1:
-            rem = [c * mult for c in rem]
-        for i, bc in enumerate(b[:-1], len(rem) - db):
-            rem[i] -= lead * bc
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
+        b = b / b.coeffs[-1]
+        a, b = b, divmod(a, b)[1]
+    return a / a.coeffs[-1] if a else a
 
 
 def root_multiplicity(p: Poly, root: Scalar) -> int:

@@ -102,10 +102,10 @@ class Series(ExactRing):
     @classmethod
     def make(cls, coeffs: Sequence, order: int) -> Series:
         """The series with ordinary coefficients `coeffs` ([z^n]), truncated
-        or zero-padded to z^0 .. z^order."""
+        or zero-padded to z^0 .. z^order; the padding is `coeffs[0] * 0`, or
+        the `int` 0 when `coeffs` is empty."""
         coeffs = list(coeffs)[: order + 1]
-        if len(coeffs) < order + 1:
-            coeffs += [coeffs[0] * 0] * (order + 1 - len(coeffs))
+        coeffs += [coeffs[0] * 0 if coeffs else 0] * (order + 1 - len(coeffs))
         return cls(tuple(c * factorial(n) for n, c in enumerate(coeffs)), order)
 
     @property

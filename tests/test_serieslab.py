@@ -420,6 +420,15 @@ def test_a_negative_order_is_a_value_error(name):
             _BUILDERS[name](order)
 
 
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_make_of_no_coefficients_is_the_zero_series(order):
+    zero = sl.Series.make([], order)
+    assert [(type(c), c) for c in zero.egf] == [(int, 0)] * (order + 1)
+    assert zero == sl.Series.make([0], order) and zero.order == order
+    with pytest.raises(ValueError, match="^truncation order -1 is negative$"):
+        sl.Series.make([], -1)
+
+
 @pytest.mark.parametrize("order", [-1, 0, 1, 2])
 def test_series_suite_at_small_orders_is_unchanged(order):
     # Stored from the tree that computed egf_T and egf_carlitz over Q(x)[rho].
